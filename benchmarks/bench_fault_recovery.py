@@ -109,7 +109,7 @@ def _pool_fill(graph, profile, runtime, seed):
         rule,
         seed=seed,
         batch_size=profile["batch_size"],
-        runtime=runtime,
+        context=ExecutionContext().attach_runtime(runtime),
     )
     index = CoverageIndex(graph.n)
     engine.fill(index, profile["pool_sets"])
@@ -125,16 +125,14 @@ def _crn_values(graph, profile, runtime, seed):
         n_sims=profile["crn_worlds"],
         seed=seed,
         mc_batch_size=profile["crn_sweep"],
-        runtime=runtime,
+        context=ExecutionContext().attach_runtime(runtime),
     ) as evaluator:
         return evaluator.evaluate_many(candidates)
 
 
 def _sweep_outcomes(graph, realizations, runtime, seed):
     labels = ("ASTI", "ATEUC")
-    context = ExecutionContext()
-    if runtime is not None:
-        context.attach_runtime(runtime)
+    context = ExecutionContext().attach_runtime(runtime)
     results = run_eta_point(
         graph,
         IndependentCascade(),

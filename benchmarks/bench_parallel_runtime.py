@@ -47,6 +47,7 @@ from repro.experiments.config import quick_config
 from repro.experiments.harness import run_sweep
 from repro.graph import generators, weighting
 from repro.parallel import ParallelRuntime
+from repro.runtime import ExecutionContext
 from repro.sampling.coverage import CoverageIndex
 from repro.sampling.engine import mrr_batch_sampler
 from repro.sampling.mrr import RootCountRule
@@ -111,7 +112,8 @@ def _pool_once(graph, model, rule, profile, jobs, seed):
             # process, not once per fill.
             warmup = mrr_batch_sampler(
                 graph, model, rule, seed=seed,
-                batch_size=profile["batch_size"], runtime=runtime,
+                batch_size=profile["batch_size"],
+                context=ExecutionContext().attach_runtime(runtime),
             )
             warmup.fill(CoverageIndex(graph.n), profile["batch_size"])
         engine = mrr_batch_sampler(
@@ -120,7 +122,7 @@ def _pool_once(graph, model, rule, profile, jobs, seed):
             rule,
             seed=seed,
             batch_size=profile["batch_size"],
-            runtime=runtime,
+            context=ExecutionContext().attach_runtime(runtime),
         )
         index = CoverageIndex(graph.n)
         seconds = _time(lambda: engine.fill(index, profile["pool_sets"]))
@@ -177,12 +179,16 @@ def measure_crn(graph, model, profile, jobs, seed=0):
         seed=seed,
         mc_batch_size=profile["crn_sweep"],
     )
-    legacy = CRNSpreadEvaluator(graph, model, **kwargs)
-    legacy_values = legacy.evaluate_many(candidates)
+    no_runtime_values = CRNSpreadEvaluator(graph, model, **kwargs).evaluate_many(
+        candidates
+    )
 
     def timed(workers):
         with ParallelRuntime(workers) as runtime:
-            evaluator = CRNSpreadEvaluator(graph, model, runtime=runtime, **kwargs)
+            evaluator = CRNSpreadEvaluator(
+                graph, model,
+                context=ExecutionContext().attach_runtime(runtime), **kwargs,
+            )
             if workers > 1:
                 # Warm with a full-size evaluation: anything smaller than
                 # two sweeps stays in-process and would leave worker spawn
@@ -206,7 +212,7 @@ def measure_crn(graph, model, profile, jobs, seed=0):
         "workers_evals_per_s": round(par_rate, 1),
         "speedup": round(par_rate / rate, 2),
         "bit_identical": bool(
-            np.array_equal(legacy_values, base_values)
+            np.array_equal(no_runtime_values, base_values)
             and np.array_equal(base_values, par_values)
         ),
     }

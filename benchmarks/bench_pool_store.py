@@ -131,11 +131,11 @@ def measure_pool(graph, profile, store_dir, seed=0):
         index = CoverageIndex(graph.n)
         seconds = _time(lambda: engine.fill(index, profile["pool_sets"]))
         members, indptr = index.packed()
-        # The restored generator state is part of the contract: the next
-        # draw after a warm fill must equal the next draw after the cold
+        # The realigned spawn offset is part of the contract: the next
+        # chunk after a warm fill must be the next chunk after the cold
         # fill, or a later grow_to would diverge.
-        probe = engine._rng.integers(0, 2**32, size=4)
-        return seconds, (members.copy(), indptr.copy(), probe)
+        offset = np.array([engine._chunk_root.n_children_spawned])
+        return seconds, (members.copy(), indptr.copy(), offset)
 
     cold_seconds, cold = fill(PoolStore(store_dir))
     warm_store = PoolStore(store_dir)

@@ -51,7 +51,7 @@ ETA_FRACTION = 0.1
 SEED = 7
 
 SAMPLE_BATCH_SIZES = (64, 256, 1024)
-JOBS = (None, 1, 2)          # None = historical single-stream route
+JOBS = (1, 2)
 REUSE_POOL = (True, False)
 KERNEL_BACKENDS = ("auto", "numpy") + (("numba",) if numba_available() else ())
 
@@ -111,16 +111,14 @@ def main() -> int:
                     ) as context:
                         result, seconds = run_trial(graph, eta, context)
                     print(
-                        f"{sample_batch_size:>6} {str(jobs):>5} "
+                        f"{sample_batch_size:>6} {jobs:>5} "
                         f"{str(reuse_pool):>6} {kernel_backend:>7} "
                         f"{result.seed_count:>6} {result.total_samples:>9} "
                         f"{seconds:>8.2f}"
                     )
                     # Calibration rows: only reuse_pool=True trials (the
-                    # planner's contexts always reuse pools) and explicit
-                    # jobs values (None is the historical stream, which a
-                    # planned context never selects).
-                    if reuse_pool and jobs is not None:
+                    # planner's contexts always reuse pools).
+                    if reuse_pool:
                         calibration_entries.append(
                             CalibrationEntry(
                                 n=stats.n,
@@ -143,18 +141,16 @@ def main() -> int:
                         f"kernel-backend invariance violated at {cell}"
                     )
                     # Worker-count invariance: for a fixed batch size,
-                    # reuse policy, and backend, every explicit jobs value
-                    # must select the exact same seeds (jobs=None uses a
-                    # different — also deterministic — historical stream).
-                    if jobs is not None:
-                        key = (sample_batch_size, reuse_pool, kernel_backend)
-                        worker_baseline.setdefault(key, result.seeds)
-                        assert result.seeds == worker_baseline[key], (
-                            f"worker-count invariance violated at {key}"
-                        )
+                    # reuse policy, and backend, every jobs value must
+                    # select the exact same seeds.
+                    key = (sample_batch_size, reuse_pool, kernel_backend)
+                    worker_baseline.setdefault(key, result.seeds)
+                    assert result.seeds == worker_baseline[key], (
+                        f"worker-count invariance violated at {key}"
+                    )
     print(
         "\nall configurations selected identical seed sets across backends"
-        " and explicit jobs values"
+        " and jobs values"
     )
     if args.out is not None:
         table = CalibrationTable(entries=tuple(calibration_entries))

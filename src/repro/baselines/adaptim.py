@@ -27,7 +27,7 @@ from repro.core.asti import (
 from repro.diffusion.base import DiffusionModel
 from repro.diffusion.realization import Realization
 from repro.graph.digraph import DiGraph
-from repro.runtime.context import UNSET, ExecutionContext, resolve_context
+from repro.runtime.context import ExecutionContext
 from repro.utils.rng import RandomSource
 from repro.utils.validation import check_fraction
 
@@ -42,21 +42,13 @@ class AdaptIM:
         model: DiffusionModel,
         epsilon: float = 0.5,
         max_samples: Optional[int] = None,
-        sample_batch_size=UNSET,
-        jobs=UNSET,
         context: Optional[ExecutionContext] = None,
     ):
         check_fraction(epsilon, "epsilon")
-        # Same context semantics as ASTI: jobs=None keeps the historical
-        # single-stream route, >= 1 switches to chunk-seeded parallel pool
-        # growth (worker-count invariant); legacy kwargs build a private
-        # context via the deprecation shim.
-        self.context, self._owns_context = resolve_context(
-            context,
-            "AdaptIM",
-            sample_batch_size=sample_batch_size,
-            jobs=jobs,
-        )
+        # Same context semantics as ASTI: an explicit context belongs to its
+        # builder; without one the facade builds and owns a default.
+        self._owns_context = context is None
+        self.context = ExecutionContext() if context is None else context
         self.model = model
         self.epsilon = epsilon
         self.selector = OpimNodeSelector(
@@ -67,11 +59,11 @@ class AdaptIM:
         )
 
     @property
-    def jobs(self) -> Optional[int]:
+    def jobs(self) -> int:
         return self.context.jobs
 
     def close(self) -> None:
-        """Release the private context's runtime (no-op without ``jobs``)."""
+        """Release the private context's runtime (no-op for a caller-owned one)."""
         if self._owns_context:
             self.context.close()
 

@@ -34,7 +34,7 @@ from typing import Optional
 from repro.diffusion.base import DiffusionModel
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
-from repro.runtime.context import UNSET, ExecutionContext, resolve_context
+from repro.runtime.context import ExecutionContext
 from repro.sampling.bounds import coverage_lower_bound
 from repro.sampling.rr import RRCollection
 from repro.utils.rng import RandomSource, as_generator
@@ -92,20 +92,14 @@ class ATEUC:
         gamma: float = 2.0,
         theta_initial: int = 512,
         max_doublings: int = 6,
-        sample_batch_size=UNSET,
-        runtime=UNSET,
         context: Optional[ExecutionContext] = None,
     ):
         check_positive_int(theta_initial, "theta_initial")
         check_positive_int(max_doublings, "max_doublings")
         if gamma < 1.0:
             raise ConfigurationError(f"gamma must be >= 1, got {gamma}")
-        self.context, self._owns_context = resolve_context(
-            context,
-            "ATEUC",
-            runtime=runtime,
-            sample_batch_size=sample_batch_size,
-        )
+        self._owns_context = context is None
+        self.context = ExecutionContext() if context is None else context
         self.model = model
         self.gamma = gamma
         self.theta_initial = theta_initial

@@ -43,7 +43,7 @@ from repro.diffusion.montecarlo import (
 )
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
-from repro.runtime.context import UNSET, ExecutionContext, resolve_context
+from repro.runtime.context import ExecutionContext
 from repro.utils.rng import RandomSource, as_generator
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import check_positive_int
@@ -89,7 +89,6 @@ def _run_celf(
     stop_at_spread: Optional[float],
     mc_batch_size: Optional[int],
     crn: bool,
-    runtime=None,
     context: Optional[ExecutionContext] = None,
 ) -> CelfResult:
     rng = as_generator(seed)
@@ -101,12 +100,10 @@ def _run_celf(
 
     if context is not None and mc_batch_size is None:
         mc_batch_size = context.mc_batch_size
-    if context is not None and runtime is None:
-        runtime = context.runtime
     if crn:
         evaluator = CRNSpreadEvaluator(
             graph, model, n_sims=samples, seed=rng,
-            mc_batch_size=mc_batch_size, runtime=runtime,
+            mc_batch_size=mc_batch_size, context=context,
         )
 
         def spread_of(candidate_seeds) -> float:
@@ -174,7 +171,6 @@ def celf_influence_maximization(
     seed: RandomSource = None,
     mc_batch_size: Optional[int] = None,
     crn: bool = True,
-    runtime=None,
     context: Optional[ExecutionContext] = None,
 ) -> CelfResult:
     """Select ``k`` seeds by lazy greedy over Monte-Carlo spreads.
@@ -182,11 +178,11 @@ def celf_influence_maximization(
     With the default ``crn=True``, two runs with the same integer ``seed``
     return identical seed sets (the estimator noise is pinned up front).
     ``context`` supplies the engine policy (``mc_batch_size``, parallel
-    runtime); the explicit ``mc_batch_size`` / ``runtime`` arguments
-    override it.  ``mc_batch_size`` bounds the cascades per vectorized
-    engine call on either path (``None`` = engine default); the runtime
-    shards the CRN sweeps across worker processes without changing any
-    estimate (evaluation replays pre-sampled noise).
+    runtime); an explicit ``mc_batch_size`` overrides it.  ``mc_batch_size``
+    bounds the cascades per vectorized engine call on either path
+    (``None`` = engine default); the runtime shards the CRN sweeps across
+    worker processes without changing any estimate (evaluation replays
+    pre-sampled noise).
     """
     check_positive_int(k, "k")
     check_positive_int(samples, "samples")
@@ -203,7 +199,6 @@ def celf_influence_maximization(
         stop_at_spread=None,
         mc_batch_size=mc_batch_size,
         crn=crn,
-        runtime=runtime,
         context=context,
     )
 
@@ -216,7 +211,6 @@ def celf_seed_minimization(
     seed: RandomSource = None,
     mc_batch_size: Optional[int] = None,
     crn: bool = True,
-    runtime=None,
     context: Optional[ExecutionContext] = None,
 ) -> CelfResult:
     """Add lazy-greedy seeds until the estimated spread reaches ``eta``.
@@ -224,7 +218,7 @@ def celf_seed_minimization(
     Non-adaptive, like ATEUC, but estimator-agnostic and therefore a good
     cross-check: on graphs where both run, their seed counts should agree
     within estimation noise.  ``context`` supplies the engine policy, with
-    the explicit arguments as overrides (see
+    an explicit ``mc_batch_size`` as override (see
     :func:`celf_influence_maximization`).
     """
     check_positive_int(eta, "eta")
@@ -242,7 +236,6 @@ def celf_seed_minimization(
         stop_at_spread=float(eta),
         mc_batch_size=mc_batch_size,
         crn=crn,
-        runtime=runtime,
         context=context,
     )
 
@@ -282,22 +275,13 @@ class CELFMinimizer:
         self,
         model: DiffusionModel,
         samples: int = 200,
-        mc_batch_size=UNSET,
-        jobs=UNSET,
-        runtime=UNSET,
         context: Optional[ExecutionContext] = None,
     ):
         check_positive_int(samples, "samples")
-        # Either hand in a context (the harness passes the sweep's, whose
-        # runtime it owns) or legacy knobs that build a private one; CRN
-        # evaluation is bit-identical either way.
-        self.context, self._owns_context = resolve_context(
-            context,
-            "CELFMinimizer",
-            runtime=runtime,
-            mc_batch_size=mc_batch_size,
-            jobs=jobs,
-        )
+        # The harness hands in the sweep's context (it owns the runtime);
+        # without one the minimizer builds and owns a default context.
+        self._owns_context = context is None
+        self.context = ExecutionContext() if context is None else context
         self.model = model
         self.samples = samples
 

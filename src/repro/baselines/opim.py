@@ -28,7 +28,7 @@ from repro.diffusion.base import DiffusionModel
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
 from repro.graph.residual import ResidualGraph
-from repro.runtime.context import UNSET, ExecutionContext, resolve_context
+from repro.runtime.context import ExecutionContext
 from repro.sampling.bounds import (
     coverage_lower_bound,
     coverage_upper_bound,
@@ -55,17 +55,10 @@ class OpimNodeSelector(SeedSelector):
         model: DiffusionModel,
         epsilon: float = 0.5,
         max_samples: Optional[int] = None,
-        sample_batch_size=UNSET,
-        runtime=UNSET,
         context: Optional[ExecutionContext] = None,
     ):
         check_fraction(epsilon, "epsilon")
-        self.context, self._owns_context = resolve_context(
-            context,
-            "OpimNodeSelector",
-            runtime=runtime,
-            sample_batch_size=sample_batch_size,
-        )
+        self.context = ExecutionContext() if context is None else context
         self.model = model
         self.epsilon = epsilon
         # Context supplies the sampling cap unless given explicitly.

@@ -77,10 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--jobs",
         type=int,
-        default=None,
-        help="worker processes for mRR pool generation (omit for the "
-        "historical single-stream path; any explicit value gives results "
-        "that are identical for every worker count)",
+        default=1,
+        help="worker processes for mRR pool generation (results are "
+        "identical for any value; 1 = in-process)",
     )
     _add_kernel_argument(solve)
     _add_store_arguments(solve)
@@ -175,9 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument(
         "--jobs",
         type=int,
-        default=None,
-        help="worker processes for mRR pool generation (omit for the "
-        "historical single-stream path)",
+        default=1,
+        help="worker processes for mRR pool generation (results are "
+        "identical for any value; 1 = in-process)",
     )
     _add_kernel_argument(estimate)
     _add_store_arguments(estimate)
@@ -367,7 +366,7 @@ def _context_from_args(args, graph=None) -> ExecutionContext:
         mc_batch_size=getattr(args, "mc_batch_size", None),
         mc_tolerance=getattr(args, "mc_tolerance", None),
         reuse_pool=getattr(args, "reuse_pool", True),
-        jobs=getattr(args, "jobs", None),
+        jobs=getattr(args, "jobs", 1),
         kernel_backend=getattr(args, "kernel_backend", "auto"),
         fault_policy=fault_policy,
         pool_store=store,

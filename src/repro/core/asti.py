@@ -33,7 +33,7 @@ from repro.diffusion.base import DiffusionModel
 from repro.diffusion.realization import Realization
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
-from repro.runtime.context import UNSET, ExecutionContext, resolve_context
+from repro.runtime.context import ExecutionContext
 from repro.sampling.mrr import CarriedMRRPool
 from repro.utils.rng import RandomSource, as_generator, spawn_generators
 from repro.utils.timing import Stopwatch
@@ -255,28 +255,17 @@ class ASTI:
         epsilon: float = 0.5,
         batch_size: int = 1,
         max_samples: Optional[int] = None,
-        sample_batch_size=UNSET,
-        reuse_pool=UNSET,
-        jobs=UNSET,
         context: Optional[ExecutionContext] = None,
     ):
         check_fraction(epsilon, "epsilon")
         check_positive_int(batch_size, "batch_size")
         # One execution context carries every engine knob.  An explicit
         # context= is used as-is (and never closed here — its builder owns
-        # it); the legacy sample_batch_size / reuse_pool / jobs kwargs
-        # build an equivalent private context through the deprecation
-        # shim.  jobs=None keeps the historical single-stream sampling
-        # route; any jobs >= 1 switches every round's pool growth to the
-        # chunk-seeded parallel scheme, whose output is bit-identical for
-        # every worker count (jobs=1 runs the chunks in-process).
-        self.context, self._owns_context = resolve_context(
-            context,
-            type(self).__name__,
-            sample_batch_size=sample_batch_size,
-            reuse_pool=reuse_pool,
-            jobs=jobs,
-        )
+        # it); without one the facade builds and owns a default.  Every
+        # round's pool growth is chunk-seeded, so the output is
+        # bit-identical for every worker count.
+        self._owns_context = context is None
+        self.context = ExecutionContext() if context is None else context
         if max_samples is None:
             max_samples = self.context.max_samples
         self.model = model
@@ -307,17 +296,17 @@ class ASTI:
         return self.context.reuse_pool
 
     @property
-    def jobs(self) -> Optional[int]:
+    def jobs(self) -> int:
         return self.context.jobs
 
     def close(self) -> None:
         """Release the private context's runtime (workers + shared memory).
 
-        A no-op without ``jobs`` or when an explicit ``context=`` was
-        handed in (its owner closes it); safe to call repeatedly.  The
-        runtime also cleans itself up on garbage collection and
-        interpreter exit, so calling this is only required when recycling
-        many facades in one long-lived process.
+        A no-op when an explicit ``context=`` was handed in (its owner
+        closes it); safe to call repeatedly.  The runtime also cleans
+        itself up on garbage collection and interpreter exit, so calling
+        this is only required when recycling many facades in one
+        long-lived process.
         """
         if self._owns_context:
             self.context.close()

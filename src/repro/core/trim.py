@@ -21,7 +21,7 @@ from repro.core.policy import SeedSelector, Selection, SelectionDiagnostics
 from repro.diffusion.base import DiffusionModel
 from repro.errors import BudgetExhaustedError, InfeasibleTargetError
 from repro.graph.residual import ResidualGraph
-from repro.runtime.context import UNSET, ExecutionContext, resolve_context
+from repro.runtime.context import ExecutionContext
 from repro.sampling.bounds import coverage_lower_bound, coverage_upper_bound
 from repro.sampling.mrr import CarriedMRRPool, build_round_pool
 from repro.utils.validation import check_fraction
@@ -101,9 +101,7 @@ class TrimSelector(SeedSelector):
         ``runtime`` (each round's pool growth fans its sample chunks out
         across the workers over the shared-memory residual graph, seeded
         by global chunk index so the pool is bit-identical for any worker
-        count).  The legacy ``sample_batch_size`` / ``reuse_pool`` /
-        ``runtime`` keyword arguments still work (a deprecation shim
-        builds an equivalent private context; outputs are bit-identical).
+        count).  ``None`` uses a default context.
     """
 
     def __init__(
@@ -112,19 +110,10 @@ class TrimSelector(SeedSelector):
         epsilon: float = 0.5,
         max_samples: Optional[int] = None,
         strict_budget: bool = False,
-        sample_batch_size=UNSET,
-        reuse_pool=UNSET,
-        runtime=UNSET,
         context: Optional[ExecutionContext] = None,
     ):
         check_fraction(epsilon, "epsilon")
-        self.context, self._owns_context = resolve_context(
-            context,
-            "TrimSelector",
-            runtime=runtime,
-            sample_batch_size=sample_batch_size,
-            reuse_pool=reuse_pool,
-        )
+        self.context = ExecutionContext() if context is None else context
         self.model = model
         self.epsilon = epsilon
         # Context supplies the sampling cap unless given explicitly.

@@ -19,7 +19,7 @@ from repro.core.policy import SeedSelector, Selection, SelectionDiagnostics
 from repro.diffusion.base import DiffusionModel
 from repro.errors import BudgetExhaustedError, InfeasibleTargetError
 from repro.graph.residual import ResidualGraph
-from repro.runtime.context import UNSET, ExecutionContext, resolve_context
+from repro.runtime.context import ExecutionContext
 from repro.sampling.bounds import (
     coverage_lower_bound,
     coverage_upper_bound,
@@ -112,20 +112,11 @@ class TrimBSelector(SeedSelector):
         epsilon: float = 0.5,
         max_samples: Optional[int] = None,
         strict_budget: bool = False,
-        sample_batch_size=UNSET,
-        reuse_pool=UNSET,
-        runtime=UNSET,
         context: Optional[ExecutionContext] = None,
     ):
         check_fraction(epsilon, "epsilon")
         check_positive_int(b, "b")
-        self.context, self._owns_context = resolve_context(
-            context,
-            "TrimBSelector",
-            runtime=runtime,
-            sample_batch_size=sample_batch_size,
-            reuse_pool=reuse_pool,
-        )
+        self.context = ExecutionContext() if context is None else context
         self.model = model
         self.b = b
         self.epsilon = epsilon

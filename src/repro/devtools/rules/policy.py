@@ -1,15 +1,12 @@
 """Policy rule: REP006 — engine policy routes through ``ExecutionContext``.
 
-PR 5 collapsed the per-layer knob chains (``sample_batch_size``,
-``mc_batch_size``, ``jobs``, ...) into one :class:`ExecutionContext`
-owned at the top of a run; the only sanctioned bridge back to per-knob
-keywords is the ``resolve_context`` deprecation shim.  This rule stops
-the chains from growing back: an engine-layer function that takes a bare
-policy knob as a parameter is a finding unless it forwards it through
-``resolve_context``, also accepts a ``context`` parameter (the documented
-explicit-override hybrid: the knob overrides the context per call, it
-does not replace it), or lives in one of the modules that *define* the
-policy layer.
+The per-layer knob chains (``sample_batch_size``, ``mc_batch_size``,
+``jobs``, ...) live in one :class:`ExecutionContext` owned at the top of a
+run.  This rule stops the chains from growing back: an engine-layer
+function that takes a bare policy knob as a parameter is a finding unless
+it also accepts a ``context`` parameter (the documented explicit-override
+hybrid: the knob overrides the context per call, it does not replace it)
+or lives in one of the modules that *define* the policy layer.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from collections.abc import Iterator
 
 from repro.devtools.rules.base import (
     Finding,
-    FunctionNode,
     Module,
     Rule,
     parameters_of,
@@ -42,14 +38,13 @@ POLICY_KWARGS = frozenset(
 
 
 class ContextPolicyRule(Rule):
-    """REP006 — no bare policy kwargs outside the ``resolve_context`` shim."""
+    """REP006 — no bare policy kwargs on engine-layer functions."""
 
     code = "REP006"
     name = "policy-via-context"
     hint = (
         "accept context: ExecutionContext instead, or alongside the knob "
-        "as an explicit override (legacy keywords belong behind the "
-        "resolve_context deprecation shim)"
+        "as an explicit override"
     )
     #: Engine-layer scope: the installed package only.  Benchmark drivers
     #: and examples legitimately sweep raw knob values from argv/grids.
@@ -87,8 +82,6 @@ class ContextPolicyRule(Rule):
             # context route exists at all.
             if any(param.arg == "context" for param in params):
                 continue
-            if self._routes_through_shim(node):
-                continue
             yield self.finding(
                 module,
                 node,
@@ -97,16 +90,3 @@ class ContextPolicyRule(Rule):
                 f"{', '.join(knobs)} — engine policy routes through "
                 "ExecutionContext",
             )
-
-    @staticmethod
-    def _routes_through_shim(node: FunctionNode) -> bool:
-        for sub in ast.walk(node):
-            if not isinstance(sub, ast.Call):
-                continue
-            func = sub.func
-            name = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else None
-            )
-            if name == "resolve_context":
-                return True
-        return False

@@ -402,12 +402,11 @@ class CRNSpreadEvaluator:
     from ``bitset_budget`` instead, which amortizes dispatch further at the
     price of a larger (~32 MB) bitset.
 
-    ``runtime`` shards the sweeps of each evaluation batch across a
-    :class:`~repro.parallel.runtime.ParallelRuntime`'s workers over the
-    shared-memory worlds.  Realizations are always sampled here in the
-    parent, and each sweep is a pure function of pre-sampled noise, so the
-    returned estimates are bit-identical with or without a runtime, for
-    any worker count.
+    A parallel ``context.runtime`` shards the sweeps of each evaluation
+    batch across its workers over the shared-memory worlds.  Realizations
+    are always sampled here in the parent, and each sweep is a pure
+    function of pre-sampled noise, so the returned estimates are
+    bit-identical for any worker count.
     """
 
     def __init__(
@@ -418,7 +417,6 @@ class CRNSpreadEvaluator:
         seed: RandomSource = None,
         bitset_budget: int = _CRN_BITSET_BUDGET,
         mc_batch_size: Optional[int] = None,
-        runtime=None,
         context=None,
     ):
         check_positive_int(n_sims, "n_sims")
@@ -426,8 +424,6 @@ class CRNSpreadEvaluator:
         # escape hatch, like the reverse engine's).
         if context is not None and mc_batch_size is None:
             mc_batch_size = context.mc_batch_size
-        if context is not None and runtime is None:
-            runtime = context.runtime
         self._kernel = (
             context.kernel_backend if context is not None else "auto"
         )
@@ -489,7 +485,7 @@ class CRNSpreadEvaluator:
             ]
         self._bitset_budget = max(int(bitset_budget), graph.n)
         self._mc_batch_size = mc_batch_size
-        self._runtime = runtime
+        self._runtime = context.runtime if context is not None else None
         self._worlds_handle = None  # lazily published shared-memory worlds
         # The publication lives in an ExitStack entered on the runtime's
         # ``published()`` context manager: the release is registered with
@@ -648,7 +644,6 @@ def estimate_spreads_many(
     eta: Optional[int] = None,
     seed: RandomSource = None,
     mc_batch_size: Optional[int] = None,
-    runtime=None,
     context=None,
 ) -> np.ndarray:
     """One-shot common-random-number evaluation of many candidate sets.
@@ -656,9 +651,8 @@ def estimate_spreads_many(
     Convenience wrapper constructing a throwaway :class:`CRNSpreadEvaluator`
     — callers that re-evaluate against the same noise (CELF's lazy queue)
     should hold on to an evaluator instead.  ``context`` supplies the
-    ``mc_batch_size`` / runtime policy (explicit arguments override); a
-    runtime shards the sweeps across workers and the estimates are
-    bit-identical either way.
+    ``mc_batch_size`` (an explicit argument overrides it) and the runtime,
+    which shards the sweeps across workers without changing any estimate.
     """
     with CRNSpreadEvaluator(
         graph,
@@ -666,7 +660,6 @@ def estimate_spreads_many(
         n_sims=n_sims,
         seed=seed,
         mc_batch_size=mc_batch_size,
-        runtime=runtime,
         context=context,
     ) as evaluator:
         return evaluator.evaluate_many(seed_sets, eta=eta)

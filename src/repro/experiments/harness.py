@@ -9,14 +9,15 @@ Non-adaptive ATEUC selects its seed set once per ``(graph, eta)`` and is
 then *evaluated* on each realization — which is where the N/A entries of
 Table 3 come from: a fixed set can undershoot ``eta`` on some worlds.
 
-With ``jobs > 1`` (``ExperimentConfig.jobs`` / ``run_eta_point``'s
-``runtime``) the independent realizations shard across the parallel
+With ``jobs > 1`` (``ExperimentConfig.jobs`` / the ``context`` handed to
+``run_eta_point``) the independent realizations shard across the parallel
 runtime's worker processes over the shared-memory graph and stacked
 live-edge worlds: adaptive sessions run in contiguous blocks through the
 same ``run_batch`` engine, non-adaptive evaluation replays the selected
-set per world in parallel, and CELF's CRN sweeps fan out inside the
-selection itself.  Every session keeps the per-realization stream spawned
-from the harness seed, so seed counts, spreads, and marginal series are
+set per world in parallel, and ATEUC's pool growth and CELF's CRN sweeps
+fan out inside the selection itself.  Every session keeps the
+per-realization stream spawned from the harness seed, and every pool is
+chunk-seeded, so seed counts, spreads, and marginal series are
 bit-identical for any worker count (including the in-process ``jobs=1``).
 """
 
@@ -38,7 +39,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.graph.digraph import DiGraph
 from repro.parallel.shm import realizations_shareable
-from repro.runtime.context import UNSET, ExecutionContext, resolve_context
+from repro.runtime.context import ExecutionContext
 from repro.utils.rng import spawn_generators, spawn_seed_sequences
 from repro.utils.stats import summarize
 
@@ -98,38 +99,20 @@ def build_algorithm(
     model: DiffusionModel,
     epsilon: float,
     max_samples: Optional[int],
-    sample_batch_size=UNSET,
-    mc_batch_size=UNSET,
-    reuse_pool=UNSET,
-    runtime=UNSET,
     context: Optional[ExecutionContext] = None,
 ):
     """Instantiate a roster entry from its label.
 
-    The entry consumes the engine policy from ``context`` (legacy per-knob
-    kwargs still resolve through the deprecation shim).  Only the CELF
-    entry sees the context's parallel runtime (its CRN sweeps are worker-
-    count invariant); the adaptive entries and ATEUC parallelize at the
-    realization level instead, so handing their pool growth a runtime here
-    would change their sampling streams relative to a ``jobs=1`` run —
-    they receive ``context.sequential()``.
+    The entry consumes the engine policy, runtime included, from
+    ``context``; ``None`` lets the entry build a default one.
     """
-    context, _ = resolve_context(
-        context,
-        "build_algorithm",
-        runtime=runtime,
-        sample_batch_size=sample_batch_size,
-        mc_batch_size=mc_batch_size,
-        reuse_pool=reuse_pool,
-    )
-    sequential = context.sequential()
     if label == "ASTI":
         return ASTI(
             model,
             epsilon=epsilon,
             batch_size=1,
             max_samples=max_samples,
-            context=sequential,
+            context=context,
         )
     if label.startswith("ASTI-"):
         batch = int(label.split("-", 1)[1])
@@ -138,17 +121,17 @@ def build_algorithm(
             epsilon=epsilon,
             batch_size=batch,
             max_samples=max_samples,
-            context=sequential,
+            context=context,
         )
     if label == "AdaptIM":
         return AdaptIM(
             model,
             epsilon=epsilon,
             max_samples=max_samples,
-            context=sequential,
+            context=context,
         )
     if label == "ATEUC":
-        return ATEUC(model, context=sequential)
+        return ATEUC(model, context=context)
     if label == "CELF":
         return CELFMinimizer(
             model,
@@ -230,28 +213,17 @@ def run_eta_point(
     epsilon: float = 0.5,
     max_samples: Optional[int] = None,
     seed: int = 0,
-    sample_batch_size=UNSET,
-    mc_batch_size=UNSET,
-    reuse_pool=UNSET,
-    runtime=UNSET,
     context: Optional[ExecutionContext] = None,
 ) -> dict[str, "AlgorithmOutcome"]:
     """Compare ``algorithms`` at a single threshold ``eta``.
 
-    The engine policy comes from ``context`` (legacy per-knob kwargs keep
-    working through the deprecation shim).  With a multi-worker runtime on
-    the context, each algorithm's independent realizations run as
-    contiguous shards on the worker pool; results are bit-identical to
-    running without one.
+    The engine policy comes from ``context`` (``None`` = a default
+    in-process one).  With a multi-worker runtime on the context, each
+    algorithm's independent realizations run as contiguous shards on the
+    worker pool; results are bit-identical to running without one.
     """
-    context, _ = resolve_context(
-        context,
-        "run_eta_point",
-        runtime=runtime,
-        sample_batch_size=sample_batch_size,
-        mc_batch_size=mc_batch_size,
-        reuse_pool=reuse_pool,
-    )
+    if context is None:
+        context = ExecutionContext()
     outcomes: dict[str, AlgorithmOutcome] = {}
     for label in algorithms:
         spec = dict(
@@ -268,13 +240,7 @@ def run_eta_point(
                 context.runtime,
             )
         else:
-            # Worker shards rebuild the algorithm from the spec, so the
-            # pickled context must already be the runtime-free sequential
-            # one (a context never ships its runtime across processes).
-            spec["context"] = context.sequential()
-            _run_adaptive(
-                spec, graph, eta, realizations, seed, outcome, context.runtime
-            )
+            _run_adaptive(spec, graph, eta, realizations, seed, outcome, context)
         outcomes[label] = outcome
     return outcomes
 
@@ -293,18 +259,20 @@ def _use_workers(runtime, realizations) -> bool:
     )
 
 
-def _run_adaptive(
-    spec, graph, eta, realizations, seed, outcome, runtime=None
-) -> None:
+def _run_adaptive(spec, graph, eta, realizations, seed, outcome, context) -> None:
     # Each realization gets an independent sampling stream derived from the
     # harness seed, so reruns are bit-identical — identical between the
     # batched engine and the sequential fallback (which consume the same
     # per-session streams in the same per-session order), and identical
     # across worker counts (shard boundaries never move a session's stream).
     seqs = spawn_seed_sequences(seed + 1, len(realizations))
+    runtime = context.runtime
     if _use_workers(runtime, realizations):
         from repro.parallel.tasks import worker_adaptive_shard
 
+        # Worker shards rebuild the algorithm from the spec with an
+        # in-process context, so workers never start nested pools.
+        spec = dict(spec, context=context.replace(jobs=1))
         graph_handle = runtime.publish_graph(graph)
         worlds_handle = runtime.publish_realizations(realizations)
         shard_results = runtime.map_ordered(
@@ -325,7 +293,9 @@ def _run_adaptive(
     else:
         from repro.parallel.tasks import adaptive_shard
 
-        rows = adaptive_shard(graph, realizations, spec, eta, seqs)
+        rows = adaptive_shard(
+            graph, realizations, dict(spec, context=context), eta, seqs
+        )
     for index, (seed_count, spread, seconds, marginals) in enumerate(rows):
         outcome.runs.append(
             RunObservation(

@@ -11,12 +11,11 @@ The package has three layers:
 * :mod:`repro.parallel.tasks` — the chunk kernels (reverse-sample chunks,
   CRN sweeps, harness realization shards) and their worker-side wrappers.
 
-Entry points accept ``jobs``: ``None`` keeps the historical in-process
-single-stream path, ``jobs >= 1`` switches to the chunk-seeded parallel
-scheme whose results are bit-identical for every worker count (``jobs=1``
-runs the chunks in-process with no pool).
+Every sampling path is chunk-seeded, so results are bit-identical for every
+worker count; ``jobs=1`` (the default) runs the chunks in-process with no
+pool.
 """
 
-from repro.parallel.runtime import FaultPolicy, ParallelRuntime, maybe_runtime
+from repro.parallel.runtime import FaultPolicy, ParallelRuntime
 
-__all__ = ["FaultPolicy", "ParallelRuntime", "maybe_runtime"]
+__all__ = ["FaultPolicy", "ParallelRuntime"]

@@ -606,10 +606,3 @@ class ParallelRuntime:
                     6,
                 )
         return results
-
-
-def maybe_runtime(jobs: Optional[int]) -> Optional[ParallelRuntime]:
-    """``None`` for the legacy in-process path, else a fresh runtime."""
-    if jobs is None:
-        return None
-    return ParallelRuntime(jobs)

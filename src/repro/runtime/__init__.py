@@ -9,12 +9,7 @@ the aggregated diagnostics sink.  Construct one at the top of a run (or let
 pass it down as the single ``context=`` argument every engine accepts.
 """
 
-from repro.runtime.context import (
-    UNSET,
-    ExecutionContext,
-    default_context,
-    resolve_context,
-)
+from repro.runtime.context import ExecutionContext, default_context
 from repro.runtime.planner import (
     CalibrationEntry,
     CalibrationTable,
@@ -26,8 +21,6 @@ from repro.runtime.planner import (
 __all__ = [
     "ExecutionContext",
     "default_context",
-    "resolve_context",
-    "UNSET",
     "CalibrationEntry",
     "CalibrationTable",
     "GraphStats",

@@ -14,7 +14,7 @@ every layer:
 * **parallelism** — ``jobs`` plus the lazily created
   :class:`~repro.parallel.runtime.ParallelRuntime` (context-manager
   lifecycle; one owner per sweep — facades that receive a context never
-  close it, facades that build one from legacy kwargs do);
+  close it, facades that build their own default one do);
 * **randomness** — a ``SeedSequence``-rooted factory
   (:meth:`ExecutionContext.generator` / :meth:`spawn_seed_sequences` /
   :meth:`spawn_generators`) replacing ad-hoc ``spawn_generators`` plumbing;
@@ -22,17 +22,12 @@ every layer:
   :meth:`note_graph`, which records each graph's dtype decision in the
   aggregated :attr:`diagnostics` sink.
 
-Legacy per-knob keyword arguments on the public facades keep working
-through :func:`resolve_context`, which builds an equivalent context and
-emits a :class:`DeprecationWarning` — outputs are bit-identical either way
-(the equivalence tests pin this).
+The public facades take engine policy only through ``context=``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields, replace
-from collections.abc import Iterable
 from typing import TYPE_CHECKING, Any, Optional, Union, cast
 
 import numpy as np
@@ -54,15 +49,10 @@ from repro.utils.rng import (
     spawn_seed_sequences,
 )
 from repro.utils.validation import (
-    check_jobs,
     check_optional_positive_int,
     check_positive_float,
     check_positive_int,
 )
-
-#: Sentinel distinguishing "caller did not pass this legacy kwarg" from any
-#: legitimate value (``None`` is legitimate for ``jobs`` and ``runtime``).
-UNSET = type("_Unset", (), {"__repr__": lambda self: "UNSET"})()
 
 #: Accepted graph-storage policies: ``adaptive`` downcasts CSR arrays where
 #: lossless (int32 indices, float32 probabilities), ``wide`` pins the
@@ -87,11 +77,9 @@ class ExecutionContext:
     reuse_pool:
         Carry re-validated mRR pools across adaptive rounds (TRIM/TRIM-B).
     jobs:
-        Worker processes for the parallel runtime.  ``None`` keeps every
-        engine on its historical in-process single-stream route; any
-        explicit value routes through the chunk-seeded parallel scheme,
-        whose output is identical for every worker count (``jobs=1`` runs
-        the same chunks in-process).
+        Worker processes for the parallel runtime.  Every engine samples
+        chunk-seeded, so the output is identical for every worker count;
+        ``jobs=1`` (the default) runs the chunks in-process.
     max_samples:
         Optional per-round cap on (m)RR pool sizes (budget envelope).
     graph_storage:
@@ -122,7 +110,7 @@ class ExecutionContext:
     mc_batch_size: Optional[int] = None
     mc_tolerance: Optional[float] = None
     reuse_pool: bool = True
-    jobs: Optional[int] = None
+    jobs: int = 1
     max_samples: Optional[int] = None
     graph_storage: str = "adaptive"
     kernel_backend: str = "auto"
@@ -146,7 +134,7 @@ class ExecutionContext:
         check_positive_int(self.sample_batch_size, "sample_batch_size")
         check_optional_positive_int(self.mc_batch_size, "mc_batch_size")
         check_positive_float(self.mc_tolerance, "mc_tolerance")
-        check_jobs(self.jobs)
+        check_positive_int(self.jobs, "jobs")
         check_optional_positive_int(self.max_samples, "max_samples")
         if self.graph_storage not in GRAPH_STORAGE_POLICIES:
             raise ConfigurationError(
@@ -194,13 +182,13 @@ class ExecutionContext:
     def runtime(self) -> Optional[ParallelRuntime]:
         """The context's :class:`~repro.parallel.runtime.ParallelRuntime`.
 
-        ``None`` when ``jobs`` is ``None`` (the historical in-process
-        route).  Otherwise created lazily on first access and owned by this
-        context — :meth:`close` (or the ``with`` block) releases its worker
-        pool and shared-memory segments.  A runtime handed in through
-        :meth:`attach_runtime` is used but never closed here.
+        Created lazily on first access and owned by this context —
+        :meth:`close` (or the ``with`` block) releases its worker pool and
+        shared-memory segments, after which this is ``None``.  A runtime
+        handed in through :meth:`attach_runtime` is used but never closed
+        here.
         """
-        if self._runtime is None and self.jobs is not None and not self._closed:
+        if self._runtime is None and not self._closed:
             from repro.parallel.runtime import ParallelRuntime
 
             self._runtime = ParallelRuntime(
@@ -253,18 +241,6 @@ class ExecutionContext:
     def replace(self, **changes: Any) -> ExecutionContext:
         """A fresh context with fields replaced (no runtime is inherited)."""
         return replace(self, **changes)
-
-    def sequential(self) -> ExecutionContext:
-        """A copy with no parallel runtime (``jobs=None``).
-
-        The experiment harness hands this to adaptive roster entries: they
-        parallelize at the realization level, so giving their inner pool
-        growth a runtime would change the sampling streams relative to the
-        in-process reference.
-        """
-        if self.jobs is None:
-            return self
-        return self.replace(jobs=None)
 
     # ------------------------------------------------------------------
     # Planning
@@ -423,9 +399,9 @@ class ExecutionContext:
         :attr:`~repro.parallel.runtime.ParallelRuntime.fault_stats`) into
         the diagnostics sink as ``fault_*`` entries.  Sweeps call it at
         the end of a run, so a recovered run is distinguishable from a
-        clean one even though their results are bit-identical.  No-op on
-        the in-process route (no runtime ever existed, nothing to report);
-        reads an already-created runtime but never creates one.
+        clean one even though their results are bit-identical.  No-op
+        until a runtime exists; reads an already-created runtime but never
+        creates one.
         """
         runtime = self._runtime
         if runtime is None:
@@ -453,52 +429,3 @@ class ExecutionContext:
 def default_context() -> ExecutionContext:
     """A context with every policy at its documented default."""
     return ExecutionContext()
-
-
-def _warn_legacy(owner: str, names: Iterable[str]) -> None:
-    warnings.warn(
-        f"{owner}: passing {', '.join(sorted(names))} as per-knob keyword "
-        f"arguments is deprecated [repro-lint REP006: engine policy routes "
-        f"through ExecutionContext]; build an ExecutionContext and pass "
-        f"context= instead (outputs are bit-identical)",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def resolve_context(
-    context: Optional[ExecutionContext],
-    owner: str,
-    runtime: Any = UNSET,
-    **legacy: Any,
-) -> tuple[ExecutionContext, bool]:
-    """The deprecation shim shared by every public facade.
-
-    Returns ``(context, owns)``:
-
-    * explicit ``context`` — returned as-is, ``owns=False`` (the caller
-      that built it closes it); combining it with legacy per-knob kwargs
-      is a :class:`ConfigurationError` (ambiguous policy);
-    * no context — a fresh one is built from whichever legacy kwargs were
-      actually passed (each emits one :class:`DeprecationWarning`),
-      ``owns=True`` so the facade's ``close`` tears it down.  A legacy
-      ``runtime=`` object is attached without transferring ownership.
-    """
-    passed = {k: v for k, v in legacy.items() if v is not UNSET}
-    has_runtime = runtime is not UNSET
-    if context is not None:
-        if passed or has_runtime:
-            clash = sorted(passed) + (["runtime"] if has_runtime else [])
-            raise ConfigurationError(
-                f"{owner}: pass either context= or the legacy knobs "
-                f"{clash}, not both"
-            )
-        return context, False
-    if passed or has_runtime:
-        _warn_legacy(
-            owner, sorted(passed) + (["runtime"] if has_runtime else [])
-        )
-    built = ExecutionContext(**passed)
-    if has_runtime and runtime is not None:
-        built.attach_runtime(runtime)
-    return built, True

@@ -90,7 +90,7 @@ class CalibrationEntry:
     model: str
     sample_batch_size: int
     mc_batch_size: Optional[int]
-    jobs: Optional[int]
+    jobs: int
     kernel_backend: str
     seconds: float
 
@@ -141,7 +141,8 @@ class CalibrationTable:
                         if raw.get("mc_batch_size") is None
                         else int(raw["mc_batch_size"])
                     ),
-                    jobs=(None if raw.get("jobs") is None else int(raw["jobs"])),
+                    # A null jobs (older tables) is the in-process route.
+                    jobs=1 if raw.get("jobs") is None else int(raw["jobs"]),
                     kernel_backend=str(raw.get("kernel_backend", "auto")),
                     seconds=float(raw["seconds"]),
                 )
@@ -169,7 +170,7 @@ class PlanDecision:
     reason: str
     sample_batch_size: int
     mc_batch_size: Optional[int]
-    jobs: Optional[int]
+    jobs: int
     kernel_backend: str
     #: (n, m) of the calibration fixture the knobs came from, if any.
     fixture: Optional[tuple[int, int]] = None
@@ -212,7 +213,7 @@ def static_plan(stats: GraphStats, model: Any, reason: str = "") -> PlanDecision
     batch = _HEURISTIC_BATCH_TARGET // max(stats.n, 1)
     batch = max(_HEURISTIC_BATCH_MIN, min(_HEURISTIC_BATCH_MAX, batch))
     cpus = os.cpu_count() or 1
-    jobs: Optional[int] = None
+    jobs = 1
     if stats.m >= _HEURISTIC_PARALLEL_EDGES and cpus >= _HEURISTIC_MIN_CPUS:
         jobs = min(_HEURISTIC_MAX_JOBS, cpus)
     detail = reason or "no calibration data"

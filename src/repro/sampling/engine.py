@@ -8,7 +8,9 @@ the CSR-packed result straight to
 :meth:`~repro.sampling.coverage.CoverageIndex.add_batch`.  A ``grow_to``
 that previously paid per-set Python dispatch thousands of times per round
 now runs ``ceil(missing / batch_size)`` engine calls, each a handful of
-vectorized NumPy operations over all samples at once.
+vectorized NumPy operations over all samples at once.  Every engine call is
+a chunk with its own ``SeedSequence``-spawned stream, so a pool is the same
+whether its chunks run in-process or on worker processes.
 
 Root selection is a strategy object so the same engine serves both set
 families:
@@ -35,18 +37,10 @@ from repro.diffusion.base import DiffusionModel
 from repro.errors import ConfigurationError, SamplingError
 from repro.graph.digraph import DiGraph
 from repro.sampling.coverage import CoverageIndex
-from repro.store.keys import (
-    artifact_key,
-    generator_state,
-    graph_fingerprint,
-    model_key,
-    restore_generator_state,
-    rng_state_token,
-)
+from repro.store.keys import artifact_key, graph_fingerprint, model_key
 from repro.utils.rng import RandomSource, as_generator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (mrr imports engine)
-    from repro.parallel.runtime import ParallelRuntime
     from repro.runtime.context import ExecutionContext
     from repro.sampling.mrr import RootCountRule
 
@@ -182,26 +176,17 @@ class BatchSampler:
         Root-selection strategy (uniform single root for RR pools, the
         randomized-rounding rule for mRR pools).
     seed:
-        Random source; pass the caller's generator to share one stream.
+        Random source; one draw from it seeds the root
+        :class:`~numpy.random.SeedSequence` every chunk spawns from.
     batch_size:
         Samples per engine call.  Larger batches amortize dispatch further
         but grow the per-call ``batch * n`` visitation bitset.
-    runtime:
-        Optional :class:`~repro.parallel.runtime.ParallelRuntime`.  When
-        set, :meth:`fill` switches to the chunk-seeded parallel scheme:
-        every engine call's chunk draws from its own child stream (spawned
-        from a root :class:`~numpy.random.SeedSequence` by global chunk
-        index), and chunks are sharded across the runtime's workers.  The
-        resulting pool is bit-identical for **any** worker count — a
-        ``jobs=1`` runtime runs the same chunks in-process — but differs
-        from the default single-stream path, which remains the reference
-        when ``runtime`` is ``None``.
     context:
         Optional :class:`~repro.runtime.context.ExecutionContext` supplying
-        the defaults for ``batch_size`` (``context.sample_batch_size``) and
-        ``runtime`` (``context.runtime``).  Explicit ``batch_size`` /
-        ``runtime`` arguments override the context — this is the low-level
-        escape hatch, so no deprecation applies here.
+        the default ``batch_size`` (``context.sample_batch_size``), the
+        kernel backend, the pool store, and the parallel runtime
+        (``context.runtime``) that :meth:`fill` shards its chunks across.
+        An explicit ``batch_size`` overrides the context.
     """
 
     def __init__(
@@ -211,7 +196,6 @@ class BatchSampler:
         roots: RootDrawer,
         seed: RandomSource = None,
         batch_size: Optional[int] = None,
-        runtime: Optional[ParallelRuntime] = None,
         context: Optional[ExecutionContext] = None,
     ):
         if graph.n < 1:
@@ -221,8 +205,6 @@ class BatchSampler:
                 context.sample_batch_size if context is not None
                 else DEFAULT_BATCH_SIZE
             )
-        if runtime is None and context is not None:
-            runtime = context.runtime
         if batch_size < 1:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {batch_size}"
@@ -236,8 +218,7 @@ class BatchSampler:
         self._kernel = (
             context.kernel_backend if context is not None else "auto"
         )
-        self._rng = as_generator(seed)
-        self._runtime = runtime
+        self._runtime = context.runtime if context is not None else None
         # Persistent artifact store (see repro.store): consulted before
         # regenerating a fill.  Disabled for unseeded samplers — their
         # stream is OS entropy, so no future run could ever hit the
@@ -254,46 +235,13 @@ class BatchSampler:
         # tracks how many children were already spawned, so the k-th chunk
         # of the sampler's lifetime gets the k-th child no matter how the
         # fill calls are sliced or sharded).
-        self._chunk_root = (
-            np.random.SeedSequence(int(self._rng.integers(np.iinfo(np.int64).max)))
-            if runtime is not None
-            else None
+        self._chunk_root = np.random.SeedSequence(
+            int(as_generator(seed).integers(np.iinfo(np.int64).max))
         )
         # Pooled visitation bitset, allocated lazily at batch_size * n and
         # restored to all-False by the BFS driver after every call — the
         # batched analogue of the scalar samplers' pooled scratch.
         self._scratch: np.ndarray = None
-
-    def sample_batch(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Generate ``count`` reverse samples in one engine call.
-
-        Returns the CSR-packed ``(members, indptr)`` pair produced by the
-        model's multi-source labeled reverse BFS.
-        """
-        members, indptr, _ = self._sample_batch_counted(count)
-        return members, indptr
-
-    def _sample_batch_counted(
-        self, count: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`sample_batch` plus the per-sample root counts.
-
-        The root counts feed the adaptive engine's cross-round pool
-        carry-over, which re-validates retained mRR sets against the next
-        round's root-count rule.
-        """
-        if count < 0:
-            raise SamplingError(f"count must be non-negative, got {count}")
-        if count == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, np.zeros(1, dtype=np.int64), empty
-        self._ensure_scratch(count)
-        roots, roots_indptr = self.roots.draw(self._rng, count)
-        members, indptr = self.model.reverse_sample_batch(
-            self.graph, roots, roots_indptr, self._rng, self._scratch,
-            kernel=self._kernel,
-        )
-        return members, indptr, np.diff(roots_indptr)
 
     def _ensure_scratch(self, count: int) -> np.ndarray:
         if self._scratch is None or len(self._scratch) < count * self.graph.n:
@@ -305,81 +253,20 @@ class BatchSampler:
     def fill(self, index: CoverageIndex, count: int) -> np.ndarray:
         """Append ``count`` fresh sets to ``index``, batch by batch.
 
-        The Python-level loop runs once per *batch*, never per set.
         Returns the per-set root counts in generation order (all ones for
-        single-root RR pools).
-
-        With a :class:`~repro.parallel.runtime.ParallelRuntime` attached,
-        the batches become independent chunk work units sharded across the
-        runtime's workers and merged back in chunk order (see
-        :meth:`grow_to` and the constructor's ``runtime`` note).
-        """
-        if count < 0:
-            raise SamplingError(f"count must be non-negative, got {count}")
-        if self._runtime is not None:
-            return self._fill_parallel(index, count)
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        store_key = None
-        if self._store is not None:
-            # Single-stream path: the fill consumes the caller's shared
-            # stream, so the recipe keys on the generator's exact state
-            # going in, and a hit restores the recorded state coming out —
-            # every downstream draw is bit-identical to regenerating.
-            store_key = artifact_key(
-                "pool",
-                {
-                    **self._recipe(),
-                    "mode": "stream",
-                    "count": int(count),
-                    "state": rng_state_token(self._rng),
-                },
-            )
-            cached = self._store.load(store_key)
-            if cached is not None:
-                arrays, meta = cached
-                if restore_generator_state(self._rng, meta.get("rng_state")):
-                    index.add_batch(arrays["members"], arrays["indptr"])
-                    self._tally("pool_store_pool_hits")
-                    return arrays["root_counts"]
-        remaining = count
-        batches = []
-        while remaining > 0:
-            step = min(remaining, self.batch_size)
-            members, indptr, root_counts = self._sample_batch_counted(step)
-            index.add_batch(members, indptr)
-            batches.append((members, indptr, root_counts))
-            remaining -= step
-        if store_key is not None:
-            members, indptr = _merge_csr_batches(batches)
-            self._store.save(
-                store_key,
-                {
-                    "members": members,
-                    "indptr": indptr,
-                    "root_counts": np.concatenate([b[2] for b in batches]),
-                },
-                {"rng_state": generator_state(self._rng)},
-            )
-        return np.concatenate([b[2] for b in batches])
-
-    def grow_to(self, index: CoverageIndex, theta: int) -> np.ndarray:
-        """Top ``index`` up to at least ``theta`` sets; see :meth:`fill`."""
-        return self.fill(index, max(0, int(theta) - len(index)))
-
-    def _fill_parallel(self, index: CoverageIndex, count: int) -> np.ndarray:
-        """Chunk-seeded fill: deterministic for any worker count.
-
-        The count splits into the same ``min(remaining, batch_size)``
-        chunks as the sequential loop; chunk ``k`` (globally indexed over
-        the sampler's lifetime) draws from the ``k``-th child of the
-        sampler's root seed sequence, runs
-        :func:`repro.parallel.tasks.sample_chunk` — in-process for a
-        ``jobs=1`` runtime, on the worker pool otherwise — and the
-        CSR-packed results merge into ``index`` in chunk order.
+        single-root RR pools).  The count splits into
+        ``min(remaining, batch_size)`` chunks; chunk ``k`` (globally indexed
+        over the sampler's lifetime) draws from the ``k``-th child of the
+        sampler's root seed sequence and runs
+        :func:`repro.parallel.tasks.sample_chunk` — in-process, or on the
+        context runtime's workers when it is parallel — and the CSR-packed
+        results merge into ``index`` in chunk order.  The pool is therefore
+        bit-identical for every worker count.
         """
         from repro.parallel.tasks import sample_chunk, worker_sample_chunk
 
+        if count < 0:
+            raise SamplingError(f"count must be non-negative, got {count}")
         chunks: list[int] = []
         remaining = count
         while remaining > 0:
@@ -390,17 +277,15 @@ class BatchSampler:
             return np.empty(0, dtype=np.int64)
         store_key = None
         if self._store is not None:
-            # Chunk-seeded path: every chunk's stream is fixed by the root
-            # SeedSequence's entropy and the global spawn offset, so those
-            # two values (plus the chunk decomposition) *are* the exact
-            # randomness recipe — no generator state to capture.  A hit
-            # spawns (and discards) the same children to keep the offset
+            # Every chunk's stream is fixed by the root SeedSequence's
+            # entropy and the global spawn offset, so those two values (plus
+            # the chunk decomposition) *are* the exact randomness recipe.  A
+            # hit spawns (and discards) the same children to keep the offset
             # aligned for subsequent fills.
             store_key = artifact_key(
                 "pool",
                 {
                     **self._recipe(),
-                    "mode": "chunks",
                     "entropy": str(self._chunk_root.entropy),
                     "spawn_offset": int(self._chunk_root.n_children_spawned),
                     "chunks": chunks,
@@ -414,8 +299,9 @@ class BatchSampler:
                 self._tally("pool_store_pool_hits")
                 return arrays["root_counts"]
         seqs = self._chunk_root.spawn(len(chunks))
-        if not self._runtime.parallel:
-            results = [
+        if self._runtime is None or not self._runtime.parallel:
+            # A generator: each chunk merges before the next is sampled.
+            results = (
                 sample_chunk(
                     self.graph,
                     self.model,
@@ -426,7 +312,7 @@ class BatchSampler:
                     kernel=self._kernel,
                 )
                 for step, seq in zip(chunks, seqs)
-            ]
+            )
         else:
             graph_handle = self._runtime.publish_graph(self.graph)
             results = self._runtime.map_ordered(
@@ -437,22 +323,25 @@ class BatchSampler:
                     for step, seq in zip(chunks, seqs)
                 ],
             )
-        collected = []
-        for members, indptr, root_counts in results:
+        counts, stored = [], []
+        for members, indptr, chunk_counts in results:
             index.add_batch(members, indptr)
-            collected.append(root_counts)
+            counts.append(chunk_counts)
+            if store_key is not None:
+                stored.append((members, indptr, chunk_counts))
+        root_counts = np.concatenate(counts)
         if store_key is not None:
-            members, indptr = _merge_csr_batches(list(results))
+            members, indptr = _merge_csr_batches(stored)
             self._store.save(
                 store_key,
-                {
-                    "members": members,
-                    "indptr": indptr,
-                    "root_counts": np.concatenate(collected),
-                },
+                {"members": members, "indptr": indptr, "root_counts": root_counts},
                 {},
             )
-        return np.concatenate(collected)
+        return root_counts
+
+    def grow_to(self, index: CoverageIndex, theta: int) -> np.ndarray:
+        """Top ``index`` up to at least ``theta`` sets; see :meth:`fill`."""
+        return self.fill(index, max(0, int(theta) - len(index)))
 
     # ------------------------------------------------------------------
     # Persistent-store plumbing
@@ -511,13 +400,11 @@ def rr_batch_sampler(
     model: DiffusionModel,
     seed: RandomSource = None,
     batch_size: Optional[int] = None,
-    runtime: Optional[ParallelRuntime] = None,
     context: Optional[ExecutionContext] = None,
 ) -> BatchSampler:
     """Engine for single-root RR pools."""
     return BatchSampler(
-        graph, model, UniformRootDrawer(graph.n), seed, batch_size, runtime,
-        context,
+        graph, model, UniformRootDrawer(graph.n), seed, batch_size, context
     )
 
 
@@ -527,11 +414,10 @@ def mrr_batch_sampler(
     rule: RootCountRule,
     seed: RandomSource = None,
     batch_size: Optional[int] = None,
-    runtime: Optional[ParallelRuntime] = None,
     context: Optional[ExecutionContext] = None,
 ) -> BatchSampler:
     """Engine for multi-root mRR pools under a root-count rule."""
     return BatchSampler(
         graph, model, RandomizedRoundingRootDrawer(rule), seed, batch_size,
-        runtime, context,
+        context,
     )

@@ -176,13 +176,12 @@ class MRRCollection:
         seed: RandomSource = None,
         rule: RootCountRule = None,
         batch_size: Optional[int] = None,
-        runtime=None,
         context=None,
     ):
         rng = as_generator(seed)
         self.sampler = MRRSampler(graph, model, eta, rng, rule)
         self.engine = mrr_batch_sampler(
-            graph, model, self.sampler.rule, rng, batch_size, runtime, context
+            graph, model, self.sampler.rule, rng, batch_size, context
         )
         self.index = CoverageIndex(graph.n)
         self._root_counts = np.empty(0, dtype=np.int64)
@@ -384,7 +383,6 @@ def build_round_pool(
     rng: np.random.Generator,
     batch_size: Optional[int] = None,
     carry: Optional[CarriedMRRPool] = None,
-    runtime=None,
     context=None,
 ) -> tuple[MRRCollection, CarryDiagnostics]:
     """One round's mRR pool, optionally pre-loaded from the previous round.
@@ -393,7 +391,7 @@ def build_round_pool(
     the :class:`MRRCollection` for ``(residual.graph, residual.shortfall)``,
     and when a :class:`CarriedMRRPool` is offered, adopt every set that
     survives :meth:`CarriedMRRPool.revalidate` before any fresh sampling.
-    ``context`` supplies the ``batch_size`` / ``runtime`` defaults.
+    ``context`` supplies the ``batch_size`` default and the runtime.
     """
     pool = MRRCollection(
         residual.graph,
@@ -401,7 +399,6 @@ def build_round_pool(
         residual.shortfall,
         seed=rng,
         batch_size=batch_size,
-        runtime=runtime,
         context=context,
     )
     if context is not None:
@@ -426,32 +423,17 @@ def estimate_truncated_spread_mrr(
     seed: RandomSource = None,
     rule: RootCountRule = None,
     batch_size: Optional[int] = None,
-    jobs: Optional[int] = None,
     context=None,
 ) -> float:
     """One-shot convenience: generate ``theta`` mRR sets and estimate.
 
     Used by tests, examples, and the rounding ablation; production code
     should reuse an :class:`MRRCollection` across queries instead.
-
-    ``context`` supplies the batching/parallelism policy; alternatively the
-    legacy ``jobs`` knob switches pool generation to the chunk-seeded
-    parallel scheme (``None`` keeps the historical in-process stream; any
-    ``jobs >= 1`` yields the same estimate for every worker count).
+    ``context`` supplies the batching policy and the runtime; the estimate
+    is the same for every worker count.
     """
-    from repro.runtime.context import UNSET, resolve_context
-
-    context, owns = resolve_context(
-        context,
-        "estimate_truncated_spread_mrr",
-        jobs=UNSET if jobs is None else jobs,
+    collection = MRRCollection(
+        graph, model, eta, seed, rule, batch_size, context=context
     )
-    try:
-        collection = MRRCollection(
-            graph, model, eta, seed, rule, batch_size, context=context
-        )
-        collection.grow_to(theta)
-        return collection.estimated_truncated_spread(seeds)
-    finally:
-        if owns:
-            context.close()
+    collection.grow_to(theta)
+    return collection.estimated_truncated_spread(seeds)

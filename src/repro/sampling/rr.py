@@ -65,14 +65,11 @@ class RRCollection:
         model: DiffusionModel,
         seed: RandomSource = None,
         batch_size: Optional[int] = None,
-        runtime=None,
         context=None,
     ):
         rng = as_generator(seed)
         self.sampler = RRSampler(graph, model, rng)
-        self.engine = rr_batch_sampler(
-            graph, model, rng, batch_size, runtime, context
-        )
+        self.engine = rr_batch_sampler(graph, model, rng, batch_size, context)
         self.index = CoverageIndex(graph.n)
 
     @property

@@ -30,10 +30,9 @@ A stdlib-asyncio NDJSON server (TCP or stdio; see
 
 Determinism contract: each request derives its own
 :class:`~repro.runtime.context.ExecutionContext` from the request seed,
-and every context routes sampling through the chunk-seeded scheme
-(``jobs >= 1``), so the ``result`` body is bit-identical to a cold
-offline ``jobs=1`` run of the same request no matter the server's
-``--jobs``, cache state, or any mid-request recovery.  With a shared
+and all sampling is chunk-seeded, so the ``result`` body is bit-identical
+to a cold offline ``jobs=1`` run of the same request no matter the
+server's ``--jobs``, cache state, or any mid-request recovery.  With a shared
 runtime, engine dispatch is serialized by a lock (the runtime is not
 thread-safe); parallelism then comes from the worker pool, while
 ``jobs=1`` services run requests concurrently across handler threads.

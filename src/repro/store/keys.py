@@ -11,9 +11,9 @@ artifact, so every key captures the *exact generation recipe*:
   item parameters (the topic-aware mixture weights);
 * the **generation parameters** — counts, batch sizes, root-drawer
   configuration — supplied by the caller as plain JSON-able fields;
-* the **randomness recipe** — either a digest of the caller Generator's
-  exact bit-generator state (single-stream path) or the chunk-root
-  ``SeedSequence`` entropy plus its spawn offset (sharded path);
+* the **randomness recipe** — the chunk-root ``SeedSequence`` entropy plus
+  its spawn offset for (m)RR pools, or a digest of the caller Generator's
+  exact bit-generator state for the CRN evaluator's worlds;
 * the :data:`ARTIFACT_FORMAT_VERSION`, so a layout change invalidates
   every existing artifact instead of misreading it.
 

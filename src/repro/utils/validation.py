@@ -46,18 +46,13 @@ def check_optional_positive_int(value: Optional[int], name: str) -> Optional[int
     """Validate an optional integer knob: ``None`` passes, else ``>= 1``.
 
     The shared validator behind every engine-policy knob that may be left
-    unset (``mc_batch_size``, ``jobs``, ``max_samples``): the CLI, the
+    unset (``mc_batch_size``, ``max_samples``): the CLI, the
     experiment config, and the execution context all funnel through here so
     a bad value produces the same message no matter which layer catches it.
     """
     if value is None:
         return None
     return check_positive_int(value, name)
-
-
-def check_jobs(value: Optional[int], name: str = "jobs") -> Optional[int]:
-    """Validate a worker-count knob (``None`` = no parallel runtime)."""
-    return check_optional_positive_int(value, name)
 
 
 def check_positive_float(value: Optional[float], name: str) -> Optional[float]:

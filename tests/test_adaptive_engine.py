@@ -21,6 +21,7 @@ from repro.diffusion.realization import ICRealization
 from repro.errors import ConfigurationError
 from repro.graph import generators, weighting
 from repro.graph.residual import initial_residual
+from repro.runtime import ExecutionContext
 from repro.utils.rng import spawn_generators
 
 
@@ -47,8 +48,8 @@ class TestBatchDriverEquivalence:
         ]
 
     @pytest.mark.parametrize("make_selector", [
-        lambda m: TrimSelector(m, reuse_pool=False),
-        lambda m: TrimBSelector(m, b=3, reuse_pool=False),
+        lambda m: TrimSelector(m, context=ExecutionContext(reuse_pool=False)),
+        lambda m: TrimBSelector(m, b=3, context=ExecutionContext(reuse_pool=False)),
         lambda m: FirstNodeSelector(),
     ])
     def test_reuse_off_matches_sequential_exactly(
@@ -74,13 +75,19 @@ class TestBatchDriverEquivalence:
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_reuse_on_matches_seed_counts(self, ic_model, social, batch_size):
         phis = shared_worlds(ic_model, social, 4)
-        scratch = ASTI(ic_model, batch_size=batch_size, reuse_pool=False)
+        scratch = ASTI(
+            ic_model, batch_size=batch_size,
+            context=ExecutionContext(reuse_pool=False),
+        )
         fresh = self._sequential(social, ic_model, scratch.selector, phis, seed=9)
         carried = run_adaptive_policy_batch(
             social,
             self.ETA,
             ic_model,
-            ASTI(ic_model, batch_size=batch_size, reuse_pool=True).selector,
+            ASTI(
+                ic_model, batch_size=batch_size,
+                context=ExecutionContext(reuse_pool=True),
+            ).selector,
             phis,
             seeds=spawn_generators(9, len(phis)),
         )
@@ -96,11 +103,11 @@ class TestBatchDriverEquivalence:
         phis = shared_worlds(ic_model, social, 3)
         fresh = run_adaptive_policy_batch(
             social, eta, ic_model,
-            TrimSelector(ic_model, reuse_pool=False), phis, seeds=1,
+            TrimSelector(ic_model, context=ExecutionContext(reuse_pool=False)), phis, seeds=1,
         )
         carried = run_adaptive_policy_batch(
             social, eta, ic_model,
-            TrimSelector(ic_model, reuse_pool=True), phis, seeds=1,
+            TrimSelector(ic_model, context=ExecutionContext(reuse_pool=True)), phis, seeds=1,
         )
         assert sum(r.total_samples for r in carried) < sum(
             r.total_samples for r in fresh
@@ -133,7 +140,7 @@ class TestBatchDriverEquivalence:
         phis = shared_worlds(ic_model, social, 2)
         results = run_adaptive_policy_batch(
             social, eta, ic_model,
-            TrimSelector(ic_model, reuse_pool=True), phis, seeds=1,
+            TrimSelector(ic_model, context=ExecutionContext(reuse_pool=True)), phis, seeds=1,
         )
         for result in results:
             assert result.rounds[0].samples_carried == 0  # nothing to reuse yet
@@ -144,7 +151,7 @@ class TestBatchDriverEquivalence:
         # The selector-level diagnostics expose the full drop accounting.
         from repro.graph.residual import initial_residual
 
-        selector = TrimSelector(ic_model, reuse_pool=True)
+        selector = TrimSelector(ic_model, context=ExecutionContext(reuse_pool=True))
         rng = np.random.default_rng(2)
         residual = initial_residual(social, eta)
         first, carry = selector.select_with_pool(residual, rng)

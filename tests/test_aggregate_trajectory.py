@@ -94,3 +94,11 @@ class TestAggregate:
         merged = aggregate()
         assert "pool_store" in merged["gates"]
         assert merged["entry_counts"]["pool_store"] >= 1
+
+    def test_committed_trajectory_matches_fresh_merge(self):
+        # BENCH_trajectory.json is derived data: after any change to
+        # benchmarks/results/, rerun aggregate_trajectory.py and commit both.
+        committed = json.loads(
+            (REPO_ROOT / "BENCH_trajectory.json").read_text(encoding="utf-8")
+        )
+        assert aggregate() == committed

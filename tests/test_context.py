@@ -1,11 +1,11 @@
-"""ExecutionContext: propagation, legacy-kwarg equivalence, lifecycle.
+"""ExecutionContext: propagation, explicit overrides, lifecycle.
 
-The tentpole contract of the unified context refactor:
+The contract of the unified context:
 
 * a default context reaches every engine untouched;
 * an explicit context overrides the policy end to end;
-* legacy per-knob kwargs emit ``DeprecationWarning`` while producing
-  bit-identical pools, CRN estimates, and adaptive seed sets;
+* a per-call knob on a low-level engine agrees bit for bit with the same
+  knob carried by a context;
 * the engine-knob validators are shared, so every layer rejects a bad
   value with the identical message.
 """
@@ -21,8 +21,6 @@ from repro import ASTI, ExecutionContext, IndependentCascade
 from repro.baselines.adaptim import AdaptIM
 from repro.baselines.ateuc import ATEUC
 from repro.baselines.celf import CELFMinimizer
-from repro.core.trim import TrimSelector
-from repro.core.trim_b import TrimBSelector
 from repro.diffusion.montecarlo import (
     DEFAULT_MC_BATCH_SIZE,
     CRNSpreadEvaluator,
@@ -30,11 +28,9 @@ from repro.diffusion.montecarlo import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig, quick_config
-from repro.experiments.harness import build_algorithm, run_eta_point, run_sweep
+from repro.experiments.harness import build_algorithm, run_sweep
 from repro.parallel.runtime import ParallelRuntime
 from repro.sampling.engine import DEFAULT_BATCH_SIZE
-from repro.sampling.mrr import estimate_truncated_spread_mrr
-from repro.utils.rng import spawn_generators
 
 
 @pytest.fixture
@@ -49,10 +45,12 @@ class TestDefaults:
         assert ctx.mc_batch_size is None
         assert ctx.mc_tolerance is None
         assert ctx.reuse_pool is True
-        assert ctx.jobs is None
+        assert ctx.jobs == 1
         assert ctx.max_samples is None
         assert ctx.graph_storage == "adaptive"
-        assert ctx.runtime is None  # jobs=None: historical in-process route
+        assert ctx._runtime is None  # created lazily, on first use
+        assert not ctx.runtime.parallel  # jobs=1: chunks run in-process
+        ctx.close()
 
     def test_default_context_reaches_every_facade_untouched(self, model):
         for algorithm in (
@@ -63,7 +61,7 @@ class TestDefaults:
         ):
             ctx = algorithm.context
             assert ctx.sample_batch_size == DEFAULT_BATCH_SIZE
-            assert ctx.jobs is None
+            assert ctx.jobs == 1
             assert ctx.reuse_pool is True
 
     def test_facade_shares_one_context_with_its_selector(self, model):
@@ -97,13 +95,10 @@ class TestExplicitOverride:
         ctx = ExecutionContext(sample_batch_size=48, jobs=1)
         for label in ("ASTI", "ASTI-4", "AdaptIM", "ATEUC"):
             algorithm = build_algorithm(label, model, 0.5, 1000, context=ctx)
-            # Adaptive entries and ATEUC get the sequential derivation: the
-            # harness parallelizes them at the realization level, so their
-            # pool growth must keep the historical in-process stream.
+            assert algorithm.context is ctx
             assert algorithm.context.sample_batch_size == 48
-            assert algorithm.context.jobs is None
         celf = build_algorithm("CELF", model, 0.5, None, context=ctx)
-        assert celf.context is ctx  # only CELF sees the runtime
+        assert celf.context is ctx
         ctx.close()
 
     def test_config_to_context_is_single_source_of_truth(self):
@@ -180,62 +175,7 @@ class TestExplicitOverride:
 
 
 class TestLegacyEquivalence:
-    def test_legacy_kwargs_warn(self, model):
-        with pytest.deprecated_call():
-            ASTI(model, sample_batch_size=64)
-        with pytest.deprecated_call():
-            AdaptIM(model, jobs=1).close()
-        with pytest.deprecated_call():
-            TrimSelector(model, reuse_pool=False)
-        with pytest.deprecated_call():
-            TrimBSelector(model, b=2, sample_batch_size=8)
-        with pytest.deprecated_call():
-            CELFMinimizer(model, mc_batch_size=32)
-        with pytest.deprecated_call():
-            ATEUC(model, sample_batch_size=16)
-
-    def test_context_plus_legacy_kwargs_is_an_error(self, model):
-        ctx = ExecutionContext()
-        with pytest.raises(ConfigurationError, match="not both"):
-            ASTI(model, sample_batch_size=64, context=ctx)
-        with pytest.raises(ConfigurationError, match="not both"):
-            CELFMinimizer(model, jobs=2, context=ctx)
-        with pytest.raises(ConfigurationError, match="not both"):
-            estimate_truncated_spread_mrr(
-                None, model, [0], 1, jobs=1, context=ctx
-            )
-
-    def test_legacy_asti_bit_identical_seed_sets(self, small_social_damped, model):
-        with pytest.deprecated_call():
-            legacy = ASTI(
-                model, epsilon=0.5, sample_batch_size=64, reuse_pool=True
-            ).run(small_social_damped, eta=20, seed=11)
-        modern = ASTI(
-            model,
-            epsilon=0.5,
-            context=ExecutionContext(sample_batch_size=64, reuse_pool=True),
-        ).run(small_social_damped, eta=20, seed=11)
-        assert legacy.seeds == modern.seeds
-        assert legacy.spread == modern.spread
-        assert [r.samples_generated for r in legacy.rounds] == [
-            r.samples_generated for r in modern.rounds
-        ]
-
-    def test_legacy_jobs_bit_identical_mrr_pools(self, small_social, model):
-        with pytest.deprecated_call():
-            legacy = estimate_truncated_spread_mrr(
-                small_social, model, [0, 3], eta=12, theta=600, seed=5, jobs=1
-            )
-        modern = estimate_truncated_spread_mrr(
-            small_social,
-            model,
-            [0, 3],
-            eta=12,
-            theta=600,
-            seed=5,
-            context=ExecutionContext(jobs=1),
-        )
-        assert legacy == modern
+    """Per-call knobs kept on the low-level engines match the context route."""
 
     def test_legacy_crn_estimates_bit_identical(self, small_social, model):
         candidates = [[v] for v in range(12)]
@@ -250,37 +190,6 @@ class TestLegacyEquivalence:
             context=ExecutionContext(mc_batch_size=64),
         ).evaluate_many(candidates)
         assert np.array_equal(explicit, via_context)
-
-    def test_legacy_run_eta_point_bit_identical(self, small_social_damped, model):
-        realizations = [
-            model.sample_realization(small_social_damped, rng)
-            for rng in spawn_generators(21, 2)
-        ]
-        with pytest.deprecated_call():
-            legacy = run_eta_point(
-                small_social_damped,
-                model,
-                10,
-                ("ASTI", "ATEUC"),
-                realizations,
-                max_samples=4000,
-                seed=2,
-                sample_batch_size=128,
-            )
-        modern = run_eta_point(
-            small_social_damped,
-            model,
-            10,
-            ("ASTI", "ATEUC"),
-            realizations,
-            max_samples=4000,
-            seed=2,
-            context=ExecutionContext(sample_batch_size=128),
-        )
-        for label in ("ASTI", "ATEUC"):
-            assert [
-                (r.seed_count, r.spread) for r in legacy[label].runs
-            ] == [(r.seed_count, r.spread) for r in modern[label].runs]
 
 
 class TestLifecycle:
@@ -301,17 +210,6 @@ class TestLifecycle:
             ctx.close()
             # Still open: owner closes it.
             runtime._check_open()
-
-    def test_sequential_drops_jobs_but_keeps_policy(self):
-        ctx = ExecutionContext(sample_batch_size=17, jobs=4, reuse_pool=False)
-        seq = ctx.sequential()
-        assert seq.jobs is None
-        assert seq.sample_batch_size == 17
-        assert seq.reuse_pool is False
-        assert ctx.sequential() is not ctx
-        no_jobs = ExecutionContext()
-        assert no_jobs.sequential() is no_jobs
-        ctx.close()
 
     def test_context_pickles_without_runtime(self):
         ctx = ExecutionContext(sample_batch_size=33, jobs=2)

@@ -105,7 +105,9 @@ class TestRandomizedRoundingRootDrawer:
 class TestBatchSampler:
     def test_sample_batch_csr_contract(self, ic_model, small_social, rng):
         engine = rr_batch_sampler(small_social, ic_model, seed=rng)
-        members, indptr = engine.sample_batch(30)
+        index = CoverageIndex(small_social.n)
+        engine.fill(index, 30)
+        members, indptr = index.packed()
         assert len(indptr) == 31
         assert indptr[0] == 0 and indptr[-1] == len(members)
         sizes = np.diff(indptr)
@@ -116,13 +118,13 @@ class TestBatchSampler:
 
     def test_zero_count(self, ic_model, small_social):
         engine = rr_batch_sampler(small_social, ic_model, seed=0)
-        members, indptr = engine.sample_batch(0)
+        index = CoverageIndex(small_social.n)
+        assert engine.fill(index, 0).shape == (0,)
+        members, indptr = index.packed()
         assert len(members) == 0 and list(indptr) == [0]
 
     def test_negative_count_rejected(self, ic_model, small_social):
         engine = rr_batch_sampler(small_social, ic_model, seed=0)
-        with pytest.raises(SamplingError):
-            engine.sample_batch(-1)
         with pytest.raises(SamplingError):
             engine.fill(CoverageIndex(small_social.n), -1)
 
@@ -151,8 +153,9 @@ class TestBatchSampler:
         # would silently truncate later samples.
         model = request.getfixturevalue(model_fixture)
         engine = rr_batch_sampler(small_social, model, seed=0, batch_size=16)
+        index = CoverageIndex(small_social.n)
         for _ in range(5):
-            engine.sample_batch(16)
+            engine.fill(index, 16)
             assert not engine._scratch.any()
 
 
@@ -187,15 +190,21 @@ class TestBatchSingleEquivalenceRR:
         )
 
     def test_batch_size_one_equals_reference_stream(self, ic_model, small_social):
-        # batch_size=1 is the degenerate batch; same rng must reproduce the
-        # reference sampler's sets exactly (same draws, same order).
-        a = RRSampler(small_social, ic_model, seed=7)
-        reference = [np.sort(a.sample()) for _ in range(20)]
+        # batch_size=1 is the degenerate batch: every chunk holds one set,
+        # drawn from the chunk's own child stream.  The reference sampler
+        # fed the same child stream must reproduce each set exactly.
         engine = rr_batch_sampler(small_social, ic_model, seed=7, batch_size=1)
-        for expected in reference:
-            members, indptr = engine.sample_batch(1)
-            assert list(indptr) == [0, len(members)]
-            assert np.array_equal(np.sort(members), expected)
+        root = np.random.SeedSequence(engine._chunk_root.entropy)
+        index = CoverageIndex(small_social.n)
+        engine.fill(index, 20)
+        members, indptr = index.packed()
+        for k, child in enumerate(root.spawn(20)):
+            reference = RRSampler(
+                small_social, ic_model, seed=np.random.default_rng(child)
+            )
+            expected = np.sort(reference.sample())
+            actual = np.sort(members[indptr[k] : indptr[k + 1]])
+            assert np.array_equal(actual, expected)
 
 
 class TestBatchSingleEquivalenceMRR:

@@ -361,7 +361,7 @@ def _mrr_pool(graph, runtime, seed=42, sets=240, batch_size=64):
         rule,
         seed=seed,
         batch_size=batch_size,
-        runtime=runtime,
+        context=ExecutionContext().attach_runtime(runtime),
     )
     index = CoverageIndex(graph.n)
     counts = engine.fill(index, sets)
@@ -391,7 +391,7 @@ class TestRecoveryEquivalence:
                 n_sims=30,
                 seed=5,
                 mc_batch_size=16,
-                runtime=runtime,
+                context=ExecutionContext().attach_runtime(runtime),
             ) as evaluator:
                 return evaluator.evaluate_many(candidates, eta=25)
 
@@ -425,6 +425,10 @@ class TestRecoveryEquivalence:
         labels = ("ASTI", "ATEUC")
 
         def outcomes(runtime):
+            context = (
+                None if runtime is None
+                else ExecutionContext().attach_runtime(runtime)
+            )
             results = run_eta_point(
                 bench_graph,
                 model,
@@ -433,7 +437,7 @@ class TestRecoveryEquivalence:
                 realizations=realizations,
                 max_samples=4000,
                 seed=2,
-                runtime=runtime,
+                context=context,
             )
             return {
                 label: [
@@ -468,7 +472,7 @@ class TestRecoveryEquivalence:
                 n_sims=30,
                 seed=5,
                 mc_batch_size=16,
-                runtime=chaos_rt,
+                context=ExecutionContext().attach_runtime(chaos_rt),
             ) as evaluator:
                 corrupted = evaluator.evaluate_many(candidates)
         assert not np.array_equal(clean, corrupted)
@@ -497,7 +501,6 @@ class TestRecoveryEquivalence:
             theta=400,
             seed=3,
             batch_size=64,
-            jobs=1,
         )
         assert chaos == clean
         assert context.diagnostics["fault_rebuilds"] == 1

@@ -11,6 +11,7 @@ from repro.experiments.harness import (
     run_sweep,
     sample_shared_realizations,
 )
+from repro.runtime import ExecutionContext
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +78,8 @@ class TestRunEtaPoint:
         model = IndependentCascade()
         worlds = sample_shared_realizations(small_social_damped, model, 3, seed=4)
         outcomes = run_eta_point(
-            small_social_damped, model, 15, ("CELF",), worlds, mc_batch_size=64
+            small_social_damped, model, 15, ("CELF",), worlds,
+            context=ExecutionContext(mc_batch_size=64),
         )
         counts = {r.seed_count for r in outcomes["CELF"].runs}
         assert len(counts) == 1  # non-adaptive: one selection, many worlds

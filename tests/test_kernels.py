@@ -265,7 +265,7 @@ class TestBitIdentity:
         sets = [[0], [2, 8]]
         expected = None
         for name in ("numpy", "python"):
-            for jobs in (None, 2):
+            for jobs in (1, 2):
                 with ExecutionContext(kernel_backend=name, jobs=jobs) as context:
                     evaluator = CRNSpreadEvaluator(
                         graph, model, n_sims=20, seed=13, context=context
@@ -292,7 +292,7 @@ class TestBitIdentity:
         model = LinearThreshold()
         realizations = sample_shared_realizations(graph, model, 2, seed=22)
         outcomes = {}
-        for name, jobs in (("numpy", None), ("python", 2)):
+        for name, jobs in (("numpy", 1), ("python", 2)):
             with ExecutionContext(kernel_backend=name, jobs=jobs) as context:
                 results = ASTI(model, max_samples=4000, context=context).run_batch(
                     graph, 25, realizations, seeds=8

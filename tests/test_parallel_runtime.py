@@ -8,8 +8,8 @@ Three concerns:
   (m)RR pools, CRN spread estimates, adaptive-run seed counts, and harness
   outcomes must be bit-identical between ``jobs=1`` (in-process chunks)
   and any multi-worker run under a fixed seed;
-* end-to-end knobs: ``ExperimentConfig.jobs``, ``ASTI(jobs=...)``, and the
-  CLI ``--jobs`` flags reject non-positive values with a clean error.
+* end-to-end knobs: ``ExperimentConfig.jobs``, ``ExecutionContext(jobs=...)``,
+  and the CLI ``--jobs`` flags reject non-positive values with a clean error.
 """
 
 import numpy as np
@@ -34,6 +34,7 @@ from repro.parallel.shm import (
 )
 from repro.sampling.coverage import CoverageIndex
 from repro.sampling.engine import mrr_batch_sampler, rr_batch_sampler
+from repro.runtime import ExecutionContext
 from repro.sampling.mrr import RootCountRule, estimate_truncated_spread_mrr
 
 
@@ -52,7 +53,7 @@ def _mrr_pool(graph, jobs, seed=42, sets=300, batch_size=64):
             rule,
             seed=seed,
             batch_size=batch_size,
-            runtime=runtime,
+            context=ExecutionContext().attach_runtime(runtime),
         )
         index = CoverageIndex(graph.n)
         counts_a = engine.fill(index, sets // 2)       # sliced fills must not
@@ -76,7 +77,8 @@ class TestRuntimeBasics:
         assert not runtime.parallel
         assert runtime._state["executor"] is None
         engine = rr_batch_sampler(
-            bench_graph, IndependentCascade(), seed=1, runtime=runtime
+            bench_graph, IndependentCascade(), seed=1,
+            context=ExecutionContext().attach_runtime(runtime),
         )
         engine.fill(CoverageIndex(bench_graph.n), 50)
         assert runtime._state["executor"] is None  # chunks ran in-process
@@ -172,7 +174,7 @@ class TestWorkerCountInvariance:
                     LinearThreshold(),
                     seed=7,
                     batch_size=50,
-                    runtime=runtime,
+                    context=ExecutionContext().attach_runtime(runtime),
                 )
                 index = CoverageIndex(bench_graph.n)
                 engine.fill(index, 180)
@@ -191,18 +193,18 @@ class TestWorkerCountInvariance:
         model = request.getfixturevalue(model_fixture)
         candidates = [[v] for v in range(25)] + [[0, 3, 9]]
         kwargs = dict(n_sims=30, seed=5, mc_batch_size=16)
-        legacy = estimate_spreads_many(bench_graph, model, candidates, **kwargs)
-        with ParallelRuntime(1) as rt1:
+        no_context = estimate_spreads_many(bench_graph, model, candidates, **kwargs)
+        with ExecutionContext(jobs=1) as context:
             inproc = estimate_spreads_many(
-                bench_graph, model, candidates, runtime=rt1, **kwargs
+                bench_graph, model, candidates, context=context, **kwargs
             )
-        with ParallelRuntime(3) as rt3:
+        with ExecutionContext(jobs=3) as context:
             sharded = estimate_spreads_many(
-                bench_graph, model, candidates, runtime=rt3, **kwargs
+                bench_graph, model, candidates, context=context, **kwargs
             )
-        # CRN evaluation replays pre-sampled noise, so even the legacy
-        # runtime-free path must agree exactly.
-        assert np.array_equal(legacy, inproc)
+        # CRN evaluation replays pre-sampled noise, so even the
+        # context-free path must agree exactly.
+        assert np.array_equal(no_context, inproc)
         assert np.array_equal(inproc, sharded)
 
     def test_crn_truncated_estimates_bit_identical(self, bench_graph):
@@ -214,7 +216,7 @@ class TestWorkerCountInvariance:
                 n_sims=20,
                 seed=8,
                 mc_batch_size=8,
-                runtime=runtime,
+                context=ExecutionContext().attach_runtime(runtime),
             )
             sharded = evaluator.evaluate_many(candidates, eta=15)
         reference = CRNSpreadEvaluator(
@@ -224,9 +226,10 @@ class TestWorkerCountInvariance:
 
     def test_asti_jobs_invariant_run(self, bench_graph):
         def solve(jobs):
-            with ASTI(
-                IndependentCascade(), max_samples=4000, jobs=jobs
-            ) as algorithm:
+            with ExecutionContext(jobs=jobs) as context:
+                algorithm = ASTI(
+                    IndependentCascade(), max_samples=4000, context=context
+                )
                 return algorithm.run(bench_graph, eta=20, seed=9)
 
         first = solve(1)
@@ -239,13 +242,14 @@ class TestWorkerCountInvariance:
 
     def test_estimate_mrr_jobs_invariant(self, bench_graph):
         kwargs = dict(eta=20, theta=400, seed=3, batch_size=64)
-        one = estimate_truncated_spread_mrr(
-            bench_graph, IndependentCascade(), [0, 1], jobs=1, **kwargs
-        )
-        two = estimate_truncated_spread_mrr(
-            bench_graph, IndependentCascade(), [0, 1], jobs=2, **kwargs
-        )
-        assert one == two
+        def estimate(jobs):
+            with ExecutionContext(jobs=jobs) as context:
+                return estimate_truncated_spread_mrr(
+                    bench_graph, IndependentCascade(), [0, 1],
+                    context=context, **kwargs
+                )
+
+        assert estimate(1) == estimate(2)
 
 
 class TestHarnessInvariance:
@@ -255,7 +259,7 @@ class TestHarnessInvariance:
         realizations = sample_shared_realizations(bench_graph, model, 3, seed=13)
         labels = ("ASTI", "ATEUC", "CELF")
 
-        def outcomes(runtime):
+        def outcomes(context):
             return run_eta_point(
                 bench_graph,
                 model,
@@ -264,12 +268,12 @@ class TestHarnessInvariance:
                 realizations=realizations,
                 max_samples=4000,
                 seed=2,
-                runtime=runtime,
+                context=context,
             )
 
         base = outcomes(None)
-        with ParallelRuntime(2) as runtime:
-            sharded = outcomes(runtime)
+        with ExecutionContext(jobs=2) as context:
+            sharded = outcomes(context)
         for label in labels:
             reference = [
                 (r.seed_count, r.spread, r.achieved, r.marginal_spreads)
@@ -289,7 +293,7 @@ class TestHarnessInvariance:
         assert quick_config().scaled(jobs=2).jobs == 2
 
     def test_celf_minimizer_owns_runtime_from_jobs(self, bench_graph):
-        with CELFMinimizer(IndependentCascade(), samples=10, jobs=1) as minimizer:
+        with CELFMinimizer(IndependentCascade(), samples=10) as minimizer:
             assert minimizer.runtime is not None
             assert not minimizer.runtime.parallel
             result = minimizer.run(bench_graph, eta=10, seed=4)
@@ -302,7 +306,8 @@ class TestHarnessInvariance:
     def test_celf_minimizer_leaves_shared_runtime_open(self, bench_graph):
         with ParallelRuntime(1) as runtime:
             minimizer = CELFMinimizer(
-                IndependentCascade(), samples=10, runtime=runtime
+                IndependentCascade(), samples=10,
+                context=ExecutionContext().attach_runtime(runtime),
             )
             minimizer.close()  # not the owner: must leave the runtime alone
             assert minimizer.runtime is runtime
@@ -370,7 +375,7 @@ class TestResourceRelease:
                 n_sims=20,
                 seed=6,
                 mc_batch_size=8,
-                runtime=runtime,
+                context=ExecutionContext().attach_runtime(runtime),
             )
             sharded = evaluator.evaluate_many(candidates)
             assert evaluator._worlds_handle is not None
@@ -385,7 +390,8 @@ class TestResourceRelease:
     def test_celf_run_releases_worlds_each_selection(self, bench_graph):
         with ParallelRuntime(2) as runtime:
             minimizer = CELFMinimizer(
-                IndependentCascade(), samples=20, mc_batch_size=8, runtime=runtime
+                IndependentCascade(), samples=20,
+                context=ExecutionContext(mc_batch_size=8).attach_runtime(runtime),
             )
             graph_segments = len(runtime._state["bundles"])
             for _ in range(3):

@@ -130,6 +130,12 @@ class TestCalibratedPicks:
         assert decision.source == "calibration"
         assert decision.sample_batch_size == 128
         assert decision.jobs == 2
+        # A null jobs (tables written when the knob could be unset) is the
+        # in-process route.
+        payload = table.to_dict()
+        payload["entries"][0]["jobs"] = None
+        legacy = CalibrationTable.from_dict(payload)
+        assert plan(graph, "IC", calibration=legacy).jobs == 1
 
     def test_nearest_fixture_wins(self, graph):
         near = entry(n=graph.n, m=graph.m, batch=128, seconds=1.0)
@@ -188,5 +194,6 @@ class TestStats:
         tiny = GraphStats(n=100, m=500, avg_degree=5.0, degree_skew=2.0)
         decision = static_plan(tiny, "IC")
         assert decision.sample_batch_size == 1024  # clamped at the top
+        assert decision.jobs == 1  # too small to pay for worker processes
         huge = GraphStats(n=10**7, m=10**8, avg_degree=10.0, degree_skew=2.0)
         assert static_plan(huge, "IC").sample_batch_size == 64

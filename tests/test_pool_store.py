@@ -255,9 +255,12 @@ class TestWarmConsumers:
         )
         index = CoverageIndex(graph.n)
         engine.fill(index, count)
+        # A second fill continues the chunk stream: a hit on the first fill
+        # must leave the spawn offset exactly where regenerating would.
+        engine.fill(index, count // 2)
         members, indptr = index.packed()
-        probe = engine._rng.integers(0, 2**32, size=4)
-        return members.copy(), indptr.copy(), probe
+        offset = np.array([engine._chunk_root.n_children_spawned])
+        return members.copy(), indptr.copy(), offset
 
     def test_warm_pool_fill_bit_identical(self, graph, tmp_path):
         store = make_store(tmp_path)
