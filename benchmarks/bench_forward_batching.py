@@ -144,7 +144,7 @@ def measure(profile: dict, seed: int = 0) -> dict:
     # heavy-tailed graph, where the batch's widest levels are dominated by
     # the hub's huge in-neighborhoods and the scalar loop is already
     # frontier-vectorized.  Tracked separately so the trajectory shows
-    # whether kernel work moves it; tests/test_forward_engine.py pins its
+    # whether engine work moves it; tests/test_forward_engine.py pins its
     # batch-vs-loop equivalence.
     skewed = weighting.weighted_cascade(
         generators.preferential_attachment(

@@ -242,7 +242,7 @@ def measure_planner(graph, profile, seed=0):
             CalibrationEntry(
                 n=stats.n, m=stats.m, degree_skew=stats.degree_skew,
                 model="IC", sample_batch_size=batch, mc_batch_size=None,
-                jobs=1, kernel_backend="auto", seconds=seconds,
+                jobs=1, seconds=seconds,
             )
             for batch, seconds in recorded.items()
         )

@@ -3,25 +3,17 @@
 Before the unified context, tuning the batched engines meant threading
 separate knob paths — ``sample_batch_size`` into the reverse sampler,
 ``jobs`` into the parallel runtime, ``reuse_pool`` into the adaptive
-carry-over, and now ``kernel_backend`` into the labeled-BFS hot loops —
-through every constructor between you and the engine.  Now each trial is
-one :class:`repro.ExecutionContext`::
+carry-over — through every constructor between you and the engine.  Now
+each trial is one :class:`repro.ExecutionContext`::
 
-    context = ExecutionContext(sample_batch_size=512, jobs=2,
-                               kernel_backend="auto")
+    context = ExecutionContext(sample_batch_size=512, jobs=2)
     ASTI(model, context=context).run(graph, eta, seed=0)
 
-This example runs a small grid over all four knobs on one graph and
+This example runs a small grid over these three knobs on one graph and
 prints seconds per run, demonstrating that (a) every configuration goes
 through the single ``context=`` argument and (b) the chosen seed sets
-agree across ``jobs`` values (worker-count invariance), across
-``reuse_pool`` (which only changes *how much* sampling is paid, not the
-policy's information), and across ``kernel_backend`` (the backends are
-bit-identical by construction).
-
-The kernel grid includes ``"numba"`` only where the optional extra is
-installed; the interpreted ``"python"`` backend is deliberately excluded
-(it exists for equivalence tests, not for 1500-node runs).
+agree across ``jobs`` values (worker-count invariance).  ``reuse_pool``
+only changes *how much* sampling is paid, not the policy's information.
 
 The sweep doubles as the **calibration harness** for the execution
 planner (:mod:`repro.runtime.planner`): pass ``--out calibration.json``
@@ -43,7 +35,6 @@ from pathlib import Path
 
 from repro import ASTI, ExecutionContext, IndependentCascade
 from repro.graph import generators, weighting
-from repro.kernels import numba_available
 from repro.runtime.planner import CalibrationEntry, CalibrationTable, graph_stats
 
 GRAPH_N = 1500
@@ -53,7 +44,6 @@ SEED = 7
 SAMPLE_BATCH_SIZES = (64, 256, 1024)
 JOBS = (1, 2)
 REUSE_POOL = (True, False)
-KERNEL_BACKENDS = ("auto", "numpy") + (("numba",) if numba_available() else ())
 
 
 def build_graph():
@@ -89,69 +79,52 @@ def main() -> int:
     print(
         f"graph: n={graph.n} m={graph.m} "
         f"(storage {graph.index_dtype}/{graph.prob_dtype}, "
-        f"{graph.csr_nbytes} CSR bytes) | eta={eta} | "
-        f"kernel grid {KERNEL_BACKENDS}"
+        f"{graph.csr_nbytes} CSR bytes) | eta={eta}"
     )
     print(
-        f"{'batch':>6} {'jobs':>5} {'reuse':>6} {'kernel':>7} "
+        f"{'batch':>6} {'jobs':>5} {'reuse':>6} "
         f"{'seeds':>6} {'samples':>9} {'seconds':>8}"
     )
 
     worker_baseline = {}
-    backend_baseline = {}
     for sample_batch_size in SAMPLE_BATCH_SIZES:
         for jobs in JOBS:
             for reuse_pool in REUSE_POOL:
-                for kernel_backend in KERNEL_BACKENDS:
-                    with ExecutionContext(
-                        sample_batch_size=sample_batch_size,
-                        jobs=jobs,
-                        reuse_pool=reuse_pool,
-                        kernel_backend=kernel_backend,
-                    ) as context:
-                        result, seconds = run_trial(graph, eta, context)
-                    print(
-                        f"{sample_batch_size:>6} {jobs:>5} "
-                        f"{str(reuse_pool):>6} {kernel_backend:>7} "
-                        f"{result.seed_count:>6} {result.total_samples:>9} "
-                        f"{seconds:>8.2f}"
-                    )
-                    # Calibration rows: only reuse_pool=True trials (the
-                    # planner's contexts always reuse pools).
-                    if reuse_pool:
-                        calibration_entries.append(
-                            CalibrationEntry(
-                                n=stats.n,
-                                m=stats.m,
-                                degree_skew=stats.degree_skew,
-                                model="IC",
-                                sample_batch_size=sample_batch_size,
-                                mc_batch_size=None,
-                                jobs=jobs,
-                                kernel_backend=kernel_backend,
-                                seconds=round(seconds, 4),
-                            )
+                with ExecutionContext(
+                    sample_batch_size=sample_batch_size,
+                    jobs=jobs,
+                    reuse_pool=reuse_pool,
+                ) as context:
+                    result, seconds = run_trial(graph, eta, context)
+                print(
+                    f"{sample_batch_size:>6} {jobs:>5} {str(reuse_pool):>6} "
+                    f"{result.seed_count:>6} {result.total_samples:>9} "
+                    f"{seconds:>8.2f}"
+                )
+                # Calibration rows: only reuse_pool=True trials (the
+                # planner's contexts always reuse pools).
+                if reuse_pool:
+                    calibration_entries.append(
+                        CalibrationEntry(
+                            n=stats.n,
+                            m=stats.m,
+                            degree_skew=stats.degree_skew,
+                            model="IC",
+                            sample_batch_size=sample_batch_size,
+                            mc_batch_size=None,
+                            jobs=jobs,
+                            seconds=round(seconds, 4),
                         )
-                    # Backend invariance: for a fixed (batch, jobs, reuse)
-                    # cell, every kernel backend must select the exact
-                    # same seeds — the backends are bit-identical.
-                    cell = (sample_batch_size, jobs, reuse_pool)
-                    backend_baseline.setdefault(cell, result.seeds)
-                    assert result.seeds == backend_baseline[cell], (
-                        f"kernel-backend invariance violated at {cell}"
                     )
-                    # Worker-count invariance: for a fixed batch size,
-                    # reuse policy, and backend, every jobs value must
-                    # select the exact same seeds.
-                    key = (sample_batch_size, reuse_pool, kernel_backend)
-                    worker_baseline.setdefault(key, result.seeds)
-                    assert result.seeds == worker_baseline[key], (
-                        f"worker-count invariance violated at {key}"
-                    )
-    print(
-        "\nall configurations selected identical seed sets across backends"
-        " and jobs values"
-    )
+                # Worker-count invariance: for a fixed batch size and
+                # reuse policy, every jobs value must select the exact
+                # same seeds.
+                key = (sample_batch_size, reuse_pool)
+                worker_baseline.setdefault(key, result.seeds)
+                assert result.seeds == worker_baseline[key], (
+                    f"worker-count invariance violated at {key}"
+                )
+    print("\nall configurations selected identical seed sets across jobs values")
     if args.out is not None:
         table = CalibrationTable(entries=tuple(calibration_entries))
         Path(args.out).write_text(

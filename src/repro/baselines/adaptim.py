@@ -83,8 +83,7 @@ class AdaptIM:
     ) -> AdaptiveRunResult:
         """Adaptive loop with the untruncated per-round objective."""
         return run_adaptive_policy(
-            graph, eta, self.model, self.selector, realization, seed,
-            max_rounds, kernel=self.context.kernel_backend,
+            graph, eta, self.model, self.selector, realization, seed, max_rounds
         )
 
     def run_batch(
@@ -98,6 +97,5 @@ class AdaptIM:
         """Batched engine entry; the OPIM selector has no pool carry-over,
         so sessions share only the round-synchronous observation sweep."""
         return run_adaptive_policy_batch(
-            graph, eta, self.model, self.selector, realizations, seeds,
-            max_rounds, kernel=self.context.kernel_backend,
+            graph, eta, self.model, self.selector, realizations, seeds, max_rounds
         )

@@ -35,7 +35,6 @@ from repro.experiments.harness import run_sweep
 from repro.experiments.report import format_series, format_table
 from repro.graph import analysis
 from repro.graph.io import read_edge_list
-from repro.kernels import KERNEL_BACKENDS
 from repro.parallel.runtime import POOL_FAILURE_MODES, FaultPolicy
 from repro.runtime.context import ExecutionContext
 from repro.sampling.engine import DEFAULT_BATCH_SIZE
@@ -81,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for mRR pool generation (results are "
         "identical for any value; 1 = in-process)",
     )
-    _add_kernel_argument(solve)
     _add_store_arguments(solve)
     _add_fault_arguments(solve)
     solve.add_argument("--epsilon", type=float, default=0.5)
@@ -139,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes sharing the sweep's realizations (results "
         "are identical for any value; 1 = in-process)",
     )
-    _add_kernel_argument(sweep)
     _add_store_arguments(sweep)
     _add_fault_arguments(sweep)
     sweep.add_argument("--seed", type=int, default=0)
@@ -178,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for mRR pool generation (results are "
         "identical for any value; 1 = in-process)",
     )
-    _add_kernel_argument(estimate)
     _add_store_arguments(estimate)
     _add_fault_arguments(estimate)
     estimate.add_argument("--seed", type=int, default=0)
@@ -226,21 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
         "from it on boot and spill back to it on drain, surviving "
         "restarts (omit to keep the cache memory-only)",
     )
-    _add_kernel_argument(serve)
     _add_fault_arguments(serve)
     return parser
-
-
-def _add_kernel_argument(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--kernel-backend",
-        choices=KERNEL_BACKENDS,
-        default="auto",
-        help="per-level labeled-BFS kernels: 'auto' uses the compiled "
-        "backend when numba is installed and the graph is large enough, "
-        "'numba' requires it, 'numpy' pins the vectorized reference "
-        "(outputs are bit-identical across backends)",
-    )
 
 
 def _add_store_arguments(sub: argparse.ArgumentParser) -> None:
@@ -258,7 +241,7 @@ def _add_store_arguments(sub: argparse.ArgumentParser) -> None:
         choices=("manual", "auto"),
         default="manual",
         help="'auto' lets the execution planner pick sample-batch-size, "
-        "mc-batch-size, jobs, and kernel-backend from the graph's "
+        "mc-batch-size, and jobs from the graph's "
         "statistics and --calibration data (explicit knob flags are "
         "ignored); 'manual' (default) uses the flags as given",
     )
@@ -367,7 +350,6 @@ def _context_from_args(args, graph=None) -> ExecutionContext:
         mc_tolerance=getattr(args, "mc_tolerance", None),
         reuse_pool=getattr(args, "reuse_pool", True),
         jobs=getattr(args, "jobs", 1),
-        kernel_backend=getattr(args, "kernel_backend", "auto"),
         fault_policy=fault_policy,
         pool_store=store,
     )
@@ -467,7 +449,6 @@ def _cmd_sweep(args, out) -> int:
         mc_tolerance=args.mc_tolerance,
         reuse_pool=args.reuse_pool,
         jobs=args.jobs,
-        kernel_backend=args.kernel_backend,
         chunk_timeout=args.chunk_timeout,
         max_retries=args.max_retries,
         on_pool_failure=args.on_pool_failure,
@@ -561,7 +542,6 @@ def _cmd_serve(args, out) -> int:
         max_queue=args.max_queue,
         cache_bytes=args.cache_bytes,
         quarantine_seconds=args.quarantine_seconds,
-        kernel_backend=args.kernel_backend,
         pool_store=args.pool_store,
         fault_policy=FaultPolicy(
             chunk_timeout=args.chunk_timeout,

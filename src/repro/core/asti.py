@@ -95,7 +95,6 @@ def run_adaptive_policy(
     realization: Optional[Realization] = None,
     seed: RandomSource = None,
     max_rounds: Optional[int] = None,
-    kernel: str = "auto",
 ) -> AdaptiveRunResult:
     """Run the select-observe loop to completion (Algorithm 1).
 
@@ -115,9 +114,6 @@ def run_adaptive_policy(
     max_rounds:
         Safety valve for tests; ``None`` allows up to ``eta`` rounds, which
         is the true worst case (every round activates >= 1 node).
-    kernel:
-        Per-level BFS backend for the reveal sweeps (see
-        :mod:`repro.kernels`); runs are bit-identical across backends.
     """
     check_positive_int(eta, "eta")
     if eta > graph.n:
@@ -127,7 +123,7 @@ def run_adaptive_policy(
         realization = model.sample_realization(graph, rng)
     return run_adaptive_policy_batch(
         graph, eta, model, selector, [realization], seeds=[rng],
-        max_rounds=max_rounds, kernel=kernel,
+        max_rounds=max_rounds,
     )[0]
 
 
@@ -139,7 +135,6 @@ def run_adaptive_policy_batch(
     realizations: Sequence[Realization],
     seeds: Union[RandomSource, Sequence[RandomSource]] = None,
     max_rounds: Optional[int] = None,
-    kernel: str = "auto",
 ) -> list[AdaptiveRunResult]:
     """Run Algorithm 1 on many ground-truth worlds round-synchronously.
 
@@ -182,7 +177,7 @@ def run_adaptive_policy_batch(
             )
         rngs = [as_generator(s) for s in sources]
 
-    batch = AdaptiveSessionBatch(graph, eta, realizations, kernel=kernel)
+    batch = AdaptiveSessionBatch(graph, eta, realizations)
     limit = max_rounds if max_rounds is not None else eta
     rounds: list[list[RoundRecord]] = [[] for _ in realizations]
     carries: list[Optional[CarriedMRRPool]] = [None for _ in realizations]
@@ -332,8 +327,7 @@ class ASTI:
     ) -> AdaptiveRunResult:
         """Solve one ASM instance; see :func:`run_adaptive_policy`."""
         result = run_adaptive_policy(
-            graph, eta, self.model, self.selector, realization, seed,
-            max_rounds, kernel=self.context.kernel_backend,
+            graph, eta, self.model, self.selector, realization, seed, max_rounds
         )
         return self._renamed(result)
 
@@ -353,8 +347,7 @@ class ASTI:
         pool carry-over in a single call.
         """
         results = run_adaptive_policy_batch(
-            graph, eta, self.model, self.selector, realizations, seeds,
-            max_rounds, kernel=self.context.kernel_backend,
+            graph, eta, self.model, self.selector, realizations, seeds, max_rounds
         )
         return [self._renamed(result) for result in results]
 

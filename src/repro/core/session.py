@@ -171,15 +171,11 @@ class AdaptiveSessionBatch:
         graph: DiGraph,
         eta: int,
         realizations: Sequence[Realization],
-        kernel: str = "auto",
     ):
         if len(realizations) == 0:
             raise ConfigurationError("need at least one realization")
         self.graph = graph
         self.eta = int(eta)
-        # Per-level backend for the batched reveal sweeps (repro.kernels);
-        # replay is deterministic, so observations are backend-invariant.
-        self.kernel = kernel
         self.sessions = [
             AdaptiveSession(graph, eta, phi) for phi in realizations
         ]
@@ -218,7 +214,6 @@ class AdaptiveSessionBatch:
             [self.sessions[sid].realization for sid in indices],
             [committed[sid] for sid in indices],
             allowed=allowed,
-            kernel=self.kernel,
         )
         return {
             sid: self.sessions[sid]._apply_observation(committed[sid], newly[row])

@@ -2,10 +2,9 @@
 
 The engine's correctness rests on invariants no general-purpose tool
 checks: bit-identical outputs for any worker count hinge on chunk-indexed
-``SeedSequence`` seeding and caller-drawn RNG, fault recovery hinges on
-worker payloads being module-level picklables, and the kernel registry
-hinges on ``kernels/reference.py`` staying inside the njit-compilable
-subset.  :mod:`repro.devtools.lint` is the AST-based static-analysis pass
+``SeedSequence`` seeding and caller-drawn RNG, and fault recovery hinges
+on worker payloads being module-level picklables.
+:mod:`repro.devtools.lint` is the AST-based static-analysis pass
 that turns each of those invariants into a lint rule (``REP001`` ...)
 caught seconds into CI instead of minutes into the equivalence suites.
 

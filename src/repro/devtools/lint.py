@@ -27,7 +27,7 @@ import re
 import sys
 import tokenize
 from pathlib import Path
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from typing import Optional
 
 from repro.devtools.rules import ALL_RULES, Finding, Module, Rule
@@ -190,8 +190,6 @@ def render_rules(rules: Iterable[Rule]) -> str:
     for rule in rules:
         lines.append(f"{rule.code}  {rule.name}")
         lines.append(f"        hint: {rule.hint}")
-        if rule.only_paths:
-            lines.append(f"        only: {', '.join(rule.only_paths)}")
         if rule.exempt_paths:
             lines.append(f"        exempt: {', '.join(rule.exempt_paths)}")
     return "\n".join(lines)

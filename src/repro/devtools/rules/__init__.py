@@ -12,8 +12,8 @@ REP002   no-unseeded-rng       every stream is attributable to a run's
                                root seed (replayability)
 REP003   picklable-dispatch    worker payloads survive spawn-context
                                pickling and fault-tolerant resubmission
-REP004   njit-safe-kernels     kernels/reference.py compiles under njit
-                               on numba-enabled machines
+REP004   (retired)             guarded a compiled-kernel module that no
+                               longer exists; the code is not reused
 REP005   paired-shm-release    ad-hoc shm publications cannot leak their
                                release closure to an exception
 REP006   policy-via-context    engine policy stays in ExecutionContext
@@ -24,8 +24,8 @@ REP007   no-bare-sleep         blocking sleeps route through the sanctioned
 =======  ====================  ==============================================
 
 Adding a rule: subclass :class:`~repro.devtools.rules.base.Rule` in a
-module here, set ``code``/``name``/``hint`` (and ``only_paths`` /
-``exempt_paths`` if scoped), implement ``check``, and append an instance
+module here, set ``code``/``name``/``hint`` (and ``exempt_paths`` if
+scoped), implement ``check``, and append an instance
 to :data:`ALL_RULES`; the CLI, suppression comments, JSON output, and the
 fixture-pair test pattern in ``tests/test_devtools_lint.py`` pick it up
 from there.
@@ -39,7 +39,6 @@ from repro.devtools.rules.determinism import (
     GlobalStateRandomRule,
     UnseededGeneratorRule,
 )
-from repro.devtools.rules.kernels import NjitSafeKernelRule
 from repro.devtools.rules.policy import ContextPolicyRule
 from repro.devtools.rules.sleeps import BlockingSleepRule
 
@@ -48,7 +47,6 @@ ALL_RULES: tuple[Rule, ...] = (
     GlobalStateRandomRule(),
     UnseededGeneratorRule(),
     PicklableDispatchRule(),
-    NjitSafeKernelRule(),
     PairedReleaseRule(),
     ContextPolicyRule(),
     BlockingSleepRule(),

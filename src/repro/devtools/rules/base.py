@@ -6,8 +6,8 @@ module and report :class:`Finding` objects; suppression comments and
 output formatting live in :mod:`repro.devtools.lint`, so rules stay pure
 AST analyses.
 
-Path scoping matches on *posix path suffixes* (``repro/kernels/
-reference.py``), never on absolute paths — the linter's own tests copy
+Path scoping matches on *posix path suffixes* (``repro/utils/
+timing.py``), never on absolute paths — the linter's own tests copy
 real source files into scratch mirrors and the rules must recognize them
 there exactly as they do in the working tree.
 """
@@ -153,17 +153,11 @@ class Rule:
     name: str = "base"
     #: One-line fix hint rendered next to every finding.
     hint: str = ""
-    #: Posix path suffixes this rule is limited to (empty = every file).
-    only_paths: tuple[str, ...] = ()
     #: Posix path suffixes exempt from this rule.
     exempt_paths: tuple[str, ...] = ()
 
     def applies_to(self, path: str) -> bool:
-        if any(path.endswith(suffix) for suffix in self.exempt_paths):
-            return False
-        if self.only_paths:
-            return any(path.endswith(suffix) for suffix in self.only_paths)
-        return True
+        return not any(path.endswith(suffix) for suffix in self.exempt_paths)
 
     def check(self, module: Module) -> Iterator[Finding]:
         raise NotImplementedError

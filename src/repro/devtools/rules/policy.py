@@ -32,7 +32,6 @@ POLICY_KWARGS = frozenset(
         "jobs",
         "max_samples",
         "graph_storage",
-        "kernel_backend",
     }
 )
 

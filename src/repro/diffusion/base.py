@@ -114,7 +114,6 @@ class DiffusionModel(abc.ABC):
         roots_indptr: np.ndarray,
         rng: np.random.Generator,
         scratch: np.ndarray = None,
-        kernel: str = "auto",
     ) -> tuple[np.ndarray, np.ndarray]:
         """Generate a whole batch of reverse samples in one call.
 
@@ -133,12 +132,8 @@ class DiffusionModel(abc.ABC):
         scratch:
             Optional pooled all-False boolean buffer of length at least
             ``batch * graph.n``; restored to all False before returning
-            (see :func:`run_labeled_reverse_bfs`).  ``None`` allocates a
+            (see :func:`run_labeled_bfs`).  ``None`` allocates a
             fresh bitset.
-        kernel:
-            ``repro.kernels`` backend knob (``"auto"``, ``"numpy"``,
-            ``"numba"``, ``"python"``); outputs are bit-identical across
-            backends.  The scalar-loop base implementation ignores it.
 
         Returns
         -------
@@ -200,7 +195,6 @@ class DiffusionModel(abc.ABC):
         n_sims: int,
         seed: RandomSource = None,
         scratch: np.ndarray = None,
-        kernel: str = "auto",
     ) -> tuple[np.ndarray, np.ndarray]:
         """Sample ``n_sims`` independent cascades from one seed set.
 
@@ -224,10 +218,6 @@ class DiffusionModel(abc.ABC):
             Optional pooled all-False boolean buffer of length at least
             ``n_sims * graph.n``; restored to all False before returning.
             ``None`` allocates a fresh bitset.
-        kernel:
-            ``repro.kernels`` backend knob (``"auto"``, ``"numpy"``,
-            ``"numba"``, ``"python"``); outputs are bit-identical across
-            backends.  The scalar-loop base implementation ignores it.
 
         Returns
         -------
@@ -283,9 +273,8 @@ def run_labeled_bfs(
     n: int,
     starts: np.ndarray,
     starts_indptr: np.ndarray,
-    propose=None,
+    propose,
     scratch: np.ndarray = None,
-    expand=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shared driver of the vectorized multi-sample labeled BFS.
 
@@ -302,15 +291,6 @@ def run_labeled_bfs(
     against per-``(sample, node)`` thresholds), which is exactly what the
     callback encapsulates.
 
-    ``expand(visited, frontier_sids, frontier_nodes)`` is the fused
-    alternative to ``propose`` used by the compiled kernel backends
-    (:mod:`repro.kernels`): it applies the per-level rule, filters, dedups,
-    marks ``visited`` in place, and returns the level's fresh keys
-    **sorted ascending** — exactly the keys (in exactly the order) the
-    ``propose`` route's filter/``np.unique``/mark sequence produces, so
-    both routes yield bit-identical results.  Exactly one of ``propose``
-    and ``expand`` must be given.
-
     ``scratch`` is an optional caller-pooled boolean buffer of length at
     least ``batch * n`` that is all False on entry; it is restored to all
     False before returning (only the visited keys are touched — the
@@ -318,10 +298,6 @@ def run_labeled_bfs(
     ``out``), so repeated engine calls on large graphs avoid allocating
     and zeroing a fresh bitset each time.
     """
-    if (propose is None) == (expand is None):
-        raise ConfigurationError(
-            "run_labeled_bfs needs exactly one of propose= or expand="
-        )
     starts = np.asarray(starts, dtype=np.int64)
     starts_indptr = np.asarray(starts_indptr, dtype=np.int64)
     batch = len(starts_indptr) - 1
@@ -334,18 +310,13 @@ def run_labeled_bfs(
     collected_nodes = [starts]
     frontier_sids, frontier_nodes = start_sids, starts
     while len(frontier_nodes):
-        if expand is not None:
-            keys = expand(visited, frontier_sids, frontier_nodes)
-            if len(keys) == 0:
-                break
-        else:
-            keys = propose(frontier_sids, frontier_nodes)
-            if len(keys):
-                keys = keys[~visited[keys]]  # filter first: unique sorts the rest
-            if len(keys) == 0:
-                break
-            keys = np.unique(keys)  # dedup within the level
-            visited[keys] = True
+        keys = propose(frontier_sids, frontier_nodes)
+        if len(keys):
+            keys = keys[~visited[keys]]  # filter first: unique sorts the rest
+        if len(keys) == 0:
+            break
+        keys = np.unique(keys)  # dedup within the level
+        visited[keys] = True
         frontier_sids, frontier_nodes = np.divmod(keys, n)
         collected_sids.append(frontier_sids)
         collected_nodes.append(frontier_nodes)
@@ -354,16 +325,6 @@ def run_labeled_bfs(
     if scratch is not None:
         visited[all_sids * n + all_nodes] = False  # restore the pooled buffer
     return pack_by_sample(all_sids, all_nodes, batch)
-
-
-#: The reverse-direction entry point: each sample's start set is its (m)RR
-#: roots and ``propose`` walks the in-CSR.  Alias of :func:`run_labeled_bfs`,
-#: kept under the established name used by ``reverse_sample_batch``.
-run_labeled_reverse_bfs = run_labeled_bfs
-
-#: The forward-direction entry point: each sample's start set is its seed
-#: set and ``propose`` walks the out-CSR.  Alias of :func:`run_labeled_bfs`.
-run_labeled_forward_bfs = run_labeled_bfs
 
 
 def expand_labeled_frontier(

@@ -17,15 +17,12 @@ from repro.diffusion.base import (
     DiffusionModel,
     expand_labeled_frontier,
     normalize_seeds,
-    run_labeled_forward_bfs,
-    run_labeled_reverse_bfs,
+    run_labeled_bfs,
     tile_starts,
 )
 from repro.diffusion.realization import ICRealization
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph, gather_csr_rows
-from repro.kernels import resolve_backend
-from repro.kernels.dispatch import ic_coin_expander
 from repro.utils.rng import RandomSource, as_generator
 
 
@@ -77,7 +74,6 @@ class IndependentCascade(DiffusionModel):
         n_sims: int,
         seed: RandomSource = None,
         scratch: np.ndarray = None,
-        kernel: str = "auto",
     ):
         """One multi-cascade labeled forward BFS sampling ``n_sims`` runs.
 
@@ -88,8 +84,7 @@ class IndependentCascade(DiffusionModel):
         draw.  Distributionally identical to ``n_sims`` independent
         :meth:`simulate` calls — each ``(simulation, out-edge)`` coin is
         still flipped at most once, when its source first activates within
-        that simulation.  ``kernel`` selects the per-level backend (see
-        :mod:`repro.kernels`); outputs are bit-identical across backends.
+        that simulation.
         """
         if n_sims < 0:
             raise ConfigurationError(f"n_sims must be >= 0, got {n_sims}")
@@ -98,18 +93,6 @@ class IndependentCascade(DiffusionModel):
         indptr, targets, probs = graph.out_csr
         n = graph.n
         starts, starts_indptr = tile_starts(seeds, n_sims)
-
-        backend = resolve_backend(kernel, graph)
-        if backend.kernels is not None:
-            return run_labeled_forward_bfs(
-                n,
-                starts,
-                starts_indptr,
-                scratch=scratch,
-                expand=ic_coin_expander(
-                    backend, "ic_forward", indptr, targets, probs, n, rng
-                ),
-            )
 
         def flip_out_edge_coins(frontier_sids, frontier_nodes):
             positions, owners, _ = expand_labeled_frontier(
@@ -120,7 +103,7 @@ class IndependentCascade(DiffusionModel):
             fired = rng.random(len(positions)) < probs[positions]
             return owners[fired] * n + targets[positions[fired]]
 
-        return run_labeled_forward_bfs(
+        return run_labeled_bfs(
             n, starts, starts_indptr, flip_out_edge_coins, scratch
         )
 
@@ -167,34 +150,19 @@ class IndependentCascade(DiffusionModel):
         roots_indptr: np.ndarray,
         rng: np.random.Generator,
         scratch: np.ndarray = None,
-        kernel: str = "auto",
     ):
         """One multi-source labeled reverse BFS generating a whole batch.
 
-        The shared :func:`~repro.diffusion.base.run_labeled_reverse_bfs`
+        The shared :func:`~repro.diffusion.base.run_labeled_bfs`
         driver advances all samples in lockstep; this model's per-level
         rule flips the edge coins for every sample's frontier in a single
         vectorized draw.  Distributionally identical to ``batch``
         independent :meth:`reverse_sample` calls — each
         ``(sample, in-edge)`` coin is still flipped at most once, when its
-        target is first expanded within that sample.  ``kernel`` selects
-        the per-level backend (see :mod:`repro.kernels`); outputs are
-        bit-identical across backends.
+        target is first expanded within that sample.
         """
         indptr, sources, probs = graph.in_csr
         n = graph.n
-
-        backend = resolve_backend(kernel, graph)
-        if backend.kernels is not None:
-            return run_labeled_reverse_bfs(
-                n,
-                roots,
-                roots_indptr,
-                scratch=scratch,
-                expand=ic_coin_expander(
-                    backend, "ic_reverse", indptr, sources, probs, n, rng
-                ),
-            )
 
         def flip_in_edge_coins(frontier_sids, frontier_nodes):
             positions, owners, _ = expand_labeled_frontier(
@@ -205,6 +173,6 @@ class IndependentCascade(DiffusionModel):
             fired = rng.random(len(positions)) < probs[positions]
             return owners[fired] * n + sources[positions[fired]]
 
-        return run_labeled_reverse_bfs(
+        return run_labeled_bfs(
             n, roots, roots_indptr, flip_in_edge_coins, scratch
         )

@@ -22,15 +22,12 @@ from repro.diffusion.base import (
     DiffusionModel,
     expand_labeled_frontier,
     normalize_seeds,
-    run_labeled_forward_bfs,
-    run_labeled_reverse_bfs,
+    run_labeled_bfs,
     tile_starts,
 )
 from repro.diffusion.realization import LTRealization
 from repro.errors import ConfigurationError, DiffusionError
 from repro.graph.digraph import DiGraph, gather_csr_rows
-from repro.kernels import resolve_backend
-from repro.kernels.dispatch import lt_forward_expander, lt_walk_expander
 from repro.utils.rng import RandomSource, as_generator
 
 _SUM_TOLERANCE = 1e-9
@@ -160,7 +157,6 @@ class LinearThreshold(DiffusionModel):
         n_sims: int,
         seed: RandomSource = None,
         scratch: np.ndarray = None,
-        kernel: str = "auto",
     ):
         """One multi-cascade labeled forward BFS of the threshold process.
 
@@ -189,19 +185,6 @@ class LinearThreshold(DiffusionModel):
         touched_before = np.zeros(n_sims * n, dtype=bool)
         starts, starts_indptr = tile_starts(seeds, n_sims)
 
-        backend = resolve_backend(kernel, graph)
-        if backend.kernels is not None:
-            return run_labeled_forward_bfs(
-                n,
-                starts,
-                starts_indptr,
-                scratch=scratch,
-                expand=lt_forward_expander(
-                    backend, indptr, targets, probs, n, rng,
-                    thresholds, accumulated, touched_before,
-                ),
-            )
-
         def accumulate_and_cross(frontier_sids, frontier_nodes):
             positions, owners, _ = expand_labeled_frontier(
                 indptr, frontier_sids, frontier_nodes
@@ -217,7 +200,7 @@ class LinearThreshold(DiffusionModel):
             np.add.at(accumulated, keys, probs[positions])
             return touched[accumulated[touched] >= thresholds[touched]]
 
-        return run_labeled_forward_bfs(
+        return run_labeled_bfs(
             n, starts, starts_indptr, accumulate_and_cross, scratch
         )
 
@@ -268,7 +251,6 @@ class LinearThreshold(DiffusionModel):
         roots_indptr: np.ndarray,
         rng: np.random.Generator,
         scratch: np.ndarray = None,
-        kernel: str = "auto",
     ):
         """Batched reverse random walks via one searchsorted per level.
 
@@ -286,16 +268,6 @@ class LinearThreshold(DiffusionModel):
         n = graph.n
         cum = self._cumulative_in_probs(graph, probs)
 
-        backend = resolve_backend(kernel, graph)
-        if backend.kernels is not None:
-            return run_labeled_reverse_bfs(
-                n,
-                roots,
-                roots_indptr,
-                scratch=scratch,
-                expand=lt_walk_expander(backend, indptr, sources, cum, n, rng),
-            )
-
         def keep_one_in_edge(frontier_sids, frontier_nodes):
             starts = indptr[frontier_nodes]
             base = np.where(starts > 0, cum[starts - 1], 0.0)
@@ -304,6 +276,6 @@ class LinearThreshold(DiffusionModel):
             kept = chosen < indptr[frontier_nodes + 1]
             return frontier_sids[kept] * n + sources[chosen[kept]]
 
-        return run_labeled_reverse_bfs(
+        return run_labeled_bfs(
             n, roots, roots_indptr, keep_one_in_edge, scratch
         )

@@ -98,7 +98,6 @@ def _chunked_spread_sizes(
     ci_halfwidth: Optional[float],
     eta: Optional[int] = None,
     z: float = 1.96,
-    kernel: str = "auto",
 ) -> np.ndarray:
     """Cascade sizes in chunks of ``mc_batch_size`` with optional early stop.
 
@@ -122,9 +121,7 @@ def _chunked_spread_sizes(
     scratch = np.zeros(min(samples, mc_batch_size) * graph.n, dtype=bool)
     while generated < samples:
         step = min(samples - generated, chunk_cap)
-        _, indptr = model.simulate_batch(
-            graph, seeds, step, rng, scratch, kernel=kernel
-        )
+        _, indptr = model.simulate_batch(graph, seeds, step, rng, scratch)
         raw_sizes = np.diff(indptr).astype(np.float64)
         sizes = (
             np.minimum(raw_sizes, float(eta)) if eta is not None else raw_sizes
@@ -160,12 +157,11 @@ def _resolve_estimator_policy(
     mc_batch_size: Optional[int],
     ci_halfwidth: Optional[float],
     context,
-) -> tuple[int, Optional[float], str]:
-    """Effective ``(mc_batch_size, ci_halfwidth, kernel)`` for one call.
+) -> tuple[int, Optional[float]]:
+    """Effective ``(mc_batch_size, ci_halfwidth)`` for one call.
 
     Explicit arguments win; otherwise the context's ``mc_batch_size`` /
-    ``mc_tolerance`` / ``kernel_backend`` apply; otherwise the engine
-    defaults.
+    ``mc_tolerance`` apply; otherwise the engine defaults.
     """
     if mc_batch_size is None:
         mc_batch_size = (
@@ -173,8 +169,7 @@ def _resolve_estimator_policy(
         ) or DEFAULT_MC_BATCH_SIZE
     if ci_halfwidth is None and context is not None:
         ci_halfwidth = context.mc_tolerance
-    kernel = context.kernel_backend if context is not None else "auto"
-    return mc_batch_size, ci_halfwidth, kernel
+    return mc_batch_size, ci_halfwidth
 
 
 def estimate_spread(
@@ -198,14 +193,13 @@ def estimate_spread(
     were actually used.
     """
     check_positive_int(samples, "samples")
-    mc_batch_size, ci_halfwidth, kernel = _resolve_estimator_policy(
+    mc_batch_size, ci_halfwidth = _resolve_estimator_policy(
         mc_batch_size, ci_halfwidth, context
     )
     check_positive_int(mc_batch_size, "mc_batch_size")
     rng = as_generator(seed)
     sizes = _chunked_spread_sizes(
-        graph, model, seeds, samples, rng, mc_batch_size, ci_halfwidth,
-        kernel=kernel,
+        graph, model, seeds, samples, rng, mc_batch_size, ci_halfwidth
     )
     return _estimate_from_sizes(sizes)
 
@@ -224,14 +218,14 @@ def estimate_truncated_spread(
     """Estimate ``E[Gamma(S)] = E[min{I(S), eta}]`` by batched simulation."""
     check_positive_int(samples, "samples")
     check_positive_int(eta, "eta")
-    mc_batch_size, ci_halfwidth, kernel = _resolve_estimator_policy(
+    mc_batch_size, ci_halfwidth = _resolve_estimator_policy(
         mc_batch_size, ci_halfwidth, context
     )
     check_positive_int(mc_batch_size, "mc_batch_size")
     rng = as_generator(seed)
     sizes = _chunked_spread_sizes(
         graph, model, seeds, samples, rng, mc_batch_size, ci_halfwidth,
-        eta=eta, kernel=kernel,
+        eta=eta,
     )
     return _estimate_from_sizes(sizes)
 
@@ -252,7 +246,7 @@ def estimate_activation_probabilities(
     per chunk instead of one dense mask addition per cascade.
     """
     check_positive_int(samples, "samples")
-    mc_batch_size, _, kernel = _resolve_estimator_policy(
+    mc_batch_size, _ = _resolve_estimator_policy(
         mc_batch_size, None, context
     )
     check_positive_int(mc_batch_size, "mc_batch_size")
@@ -262,9 +256,7 @@ def estimate_activation_probabilities(
     scratch = np.zeros(min(samples, mc_batch_size) * graph.n, dtype=bool)
     while generated < samples:
         step = min(samples - generated, mc_batch_size)
-        members, _ = model.simulate_batch(
-            graph, seeds, step, rng, scratch, kernel=kernel
-        )
+        members, _ = model.simulate_batch(graph, seeds, step, rng, scratch)
         totals += np.bincount(members, minlength=graph.n)
         generated += step
     return totals / samples
@@ -318,7 +310,6 @@ def crn_chunk(
     sets_block: Sequence[np.ndarray],
     world_ids: np.ndarray,
     scratch: Optional[np.ndarray] = None,
-    kernel: str = "auto",
 ) -> np.ndarray:
     """One CRN sweep: realized spreads of a block of (candidate, world) jobs.
 
@@ -326,12 +317,8 @@ def crn_chunk(
     live edges of world ``world_ids[j]``.  Pure function of its inputs
     (the worlds are pre-sampled), so the evaluator can run sweeps in-process
     or shard them across worker processes — and replay is deterministic, so
-    results are bit-identical for every worker count and every ``kernel``
-    backend (see :mod:`repro.kernels`).
+    results are bit-identical for every worker count.
     """
-    from repro.kernels import resolve_backend
-    from repro.kernels.dispatch import replay_expander
-
     worlds = worlds.reshape(-1)
     starts = (
         np.concatenate(sets_block)
@@ -344,27 +331,13 @@ def crn_chunk(
     starts_indptr = np.zeros(len(sets_block) + 1, dtype=np.int64)
     np.cumsum(lengths, out=starts_indptr[1:])
     world_ids = np.asarray(world_ids, dtype=np.int64)
-    backend = resolve_backend(kernel, graph)
-    if backend.kernels is not None:
-        out_indptr, targets, _ = graph.out_csr
-        _, indptr = run_labeled_bfs(
-            graph.n,
-            starts,
-            starts_indptr,
-            scratch=scratch,
-            expand=replay_expander(
-                backend, kind, out_indptr, targets, worlds, world_ids,
-                graph.m, graph.n,
-            ),
-        )
-    else:
-        _, indptr = run_labeled_bfs(
-            graph.n,
-            starts,
-            starts_indptr,
-            _crn_propose(graph, kind, worlds, world_ids),
-            scratch,
-        )
+    _, indptr = run_labeled_bfs(
+        graph.n,
+        starts,
+        starts_indptr,
+        _crn_propose(graph, kind, worlds, world_ids),
+        scratch,
+    )
     return np.diff(indptr).astype(np.float64)
 
 
@@ -424,9 +397,6 @@ class CRNSpreadEvaluator:
         # escape hatch, like the reverse engine's).
         if context is not None and mc_batch_size is None:
             mc_batch_size = context.mc_batch_size
-        self._kernel = (
-            context.kernel_backend if context is not None else "auto"
-        )
         if mc_batch_size is not None:
             check_positive_int(mc_batch_size, "mc_batch_size")
         self.graph = graph
@@ -573,7 +543,6 @@ class CRNSpreadEvaluator:
                 [
                     (graph_handle, self._kind, self._worlds_handle)
                     + block_args(begin, end)
-                    + (self._kernel,)
                     for begin, end in spans
                 ],
             )
@@ -590,7 +559,6 @@ class CRNSpreadEvaluator:
                 block_sets,
                 world_ids,
                 self._scratch,
-                kernel=self._kernel,
             )
         return job_sizes.reshape(len(sets), r)
 

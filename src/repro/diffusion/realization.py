@@ -171,7 +171,6 @@ def batch_reachable_from(
     realizations: Sequence[Realization],
     seeds_per: Sequence[Sequence[int]],
     allowed: Optional[np.ndarray] = None,
-    kernel: str = "auto",
 ) -> np.ndarray:
     """Reachability of many (realization, seed set) pairs in one sweep.
 
@@ -189,15 +188,11 @@ def batch_reachable_from(
     Mixed or unknown realization types fall back to one
     :meth:`Realization.reachable_from` call per session, which the batch
     path must match bit for bit (observation is deterministic given the
-    realization).  ``kernel`` selects the per-level backend for the
-    homogeneous sweeps (see :mod:`repro.kernels`); replay is deterministic
-    given the realizations, so every backend returns the same matrix.
+    realization).
 
     Returns a ``(batch, n)`` boolean activation matrix.
     """
     from repro.diffusion.base import expand_labeled_frontier, run_labeled_bfs
-    from repro.kernels import resolve_backend
-    from repro.kernels.dispatch import replay_expander
 
     if len(realizations) == 0:
         raise DiffusionError("batch_reachable_from needs at least one realization")
@@ -246,36 +241,6 @@ def batch_reachable_from(
 
     out_indptr, targets, _ = graph.out_csr
     allowed_flat = None if allowed is None else allowed.reshape(-1)
-
-    backend = resolve_backend(kernel, graph)
-    if backend.kernels is not None:
-        kind = "ic" if homogeneous_ic else "lt"
-        worlds_flat = np.concatenate(
-            [
-                phi.live_edges if homogeneous_ic else phi.chosen_source
-                for phi in realizations
-            ]
-        )
-        expand = replay_expander(
-            backend,
-            kind,
-            out_indptr,
-            targets,
-            worlds_flat,
-            np.arange(batch, dtype=np.int64),  # session s replays world s
-            graph.m,
-            n,
-            allowed_flat,
-        )
-        members, indptr = run_labeled_bfs(
-            n, starts, starts_indptr, expand=expand
-        )
-        visited = np.zeros(batch * n, dtype=bool)
-        session_of = np.repeat(
-            np.arange(batch, dtype=np.int64), np.diff(indptr)
-        )
-        visited[session_of * n + members] = True
-        return visited.reshape(batch, n)
 
     if homogeneous_ic:
         m = graph.m

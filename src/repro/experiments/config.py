@@ -22,7 +22,6 @@ from repro.diffusion.ic import IndependentCascade
 from repro.diffusion.lt import LinearThreshold
 from repro.errors import ConfigurationError
 from repro.experiments import datasets
-from repro.kernels import KERNEL_BACKENDS
 from repro.runtime.context import GRAPH_STORAGE_POLICIES, ExecutionContext
 from repro.sampling.engine import DEFAULT_BATCH_SIZE
 from repro.utils.validation import (
@@ -63,9 +62,6 @@ class ExperimentConfig:
                                                  # (1 = in-process; results are
                                                  # identical for any value)
     graph_storage: str = "adaptive"              # CSR layout: "adaptive"|"wide"
-    kernel_backend: str = "auto"                 # labeled-BFS backend
-                                                 # ("auto"|"numpy"|"numba"|
-                                                 # "python"); bit-identical
     chunk_timeout: Optional[float] = None        # seconds before a dispatched
                                                  # chunk is declared hung
     max_retries: int = 2                         # transient-failure retries
@@ -102,11 +98,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"graph_storage must be one of {GRAPH_STORAGE_POLICIES}, "
                 f"got {self.graph_storage!r}"
-            )
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ConfigurationError(
-                f"kernel_backend must be one of {KERNEL_BACKENDS}, "
-                f"got {self.kernel_backend!r}"
             )
         if self.plan not in ("manual", "auto"):
             raise ConfigurationError(
@@ -168,8 +159,8 @@ class ExperimentConfig:
         below receives it as the one ``context=`` argument.
 
         With ``plan="auto"`` and a ``graph`` to inspect, the performance
-        knobs (``sample_batch_size``, ``mc_batch_size``, ``jobs``,
-        ``kernel_backend``) come from the execution planner
+        knobs (``sample_batch_size``, ``mc_batch_size``, ``jobs``) come
+        from the execution planner
         (:mod:`repro.runtime.planner`, fed by ``calibration``) instead of
         this config's fields; correctness policy (tolerances, pool reuse,
         storage, fault policy) always comes from the config.
@@ -195,7 +186,6 @@ class ExperimentConfig:
             jobs=self.jobs,
             max_samples=self.max_samples,
             graph_storage=self.graph_storage,
-            kernel_backend=self.kernel_backend,
             fault_policy=self.fault_policy(),
             pool_store=store,
         )

@@ -344,11 +344,18 @@ def _run_non_adaptive(
 
 @dataclass
 class SweepResult:
-    """A full threshold sweep: ``outcomes[eta][algorithm]``."""
+    """A full threshold sweep: ``outcomes[eta][algorithm]``.
+
+    ``diagnostics`` is a copy of the sweep context's diagnostics sink taken
+    just before the context closed: the graph's storage decision, the
+    runtime's ``fault_*`` recovery counters and the pool store's
+    ``pool_store_*`` activity, plus any engine tallies.
+    """
 
     config: ExperimentConfig
     eta_values: tuple[int, ...]
     outcomes: dict[int, dict[str, AlgorithmOutcome]]
+    diagnostics: dict[str, object] = field(default_factory=dict)
 
     def series(self, algorithm: str, metric: str) -> list[float]:
         """Extract a per-threshold series for one algorithm.
@@ -380,8 +387,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     here, owns the sweep's parallel runtime (worker processes spawn once
     for every eta point, the graph maps into shared memory once), records
     the graph's storage decision in its diagnostics, and is closed when
-    the sweep finishes.  The sweep's numbers are bit-identical for any
-    ``jobs`` value.
+    the sweep finishes; its diagnostics come back as
+    :attr:`SweepResult.diagnostics`.  The sweep's numbers are
+    bit-identical for any ``jobs`` value.
     """
     model = config.make_model()
     outcomes: dict[int, dict[str, AlgorithmOutcome]] = {}
@@ -408,16 +416,19 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 seed=config.seed,
                 context=context,
             )
-        # Snapshot the kernel decisions (backend resolutions, per-driver
-        # call counts, JIT time) after the last eta point so the sweep's
-        # diagnostics describe the whole run, next to note_graph above.
-        context.note_kernels()
-        # And the supervisor's recovery activity: a sweep that survived
-        # worker crashes reports the same results as a clean one, so the
-        # fault_* counters are the only place the recovery shows.
+        # The supervisor's recovery activity, recorded after the last eta
+        # point: a sweep that survived worker crashes reports the same
+        # results as a clean one, so the fault_* counters are the only
+        # place the recovery shows.
         context.note_faults()
         # And the persistent store's hit/miss/eviction activity: a warm
         # run is bit-identical to a cold one, so these counters are the
         # only place the reuse shows.
         context.note_store()
-    return SweepResult(config=config, eta_values=eta_values, outcomes=outcomes)
+        diagnostics = dict(context.diagnostics)
+    return SweepResult(
+        config=config,
+        eta_values=eta_values,
+        outcomes=outcomes,
+        diagnostics=diagnostics,
+    )

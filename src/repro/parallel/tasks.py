@@ -74,20 +74,17 @@ def sample_chunk(
     count: int,
     seed_seq: np.random.SeedSequence,
     scratch: Optional[np.ndarray] = None,
-    kernel: str = "auto",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Generate ``count`` reverse samples from the chunk's own stream.
 
     Returns the CSR-packed ``(members, indptr, root_counts)`` triple the
     parent merges straight into its
-    :class:`~repro.sampling.coverage.CoverageIndex`.  ``kernel`` selects
-    the per-level BFS backend; a chunk's output is bit-identical across
-    backends (all randomness comes from the chunk's own generator).
+    :class:`~repro.sampling.coverage.CoverageIndex`.
     """
     rng = np.random.default_rng(seed_seq)
     root_ids, roots_indptr = roots.draw(rng, count)
     members, indptr = model.reverse_sample_batch(
-        graph, root_ids, roots_indptr, rng, scratch, kernel=kernel
+        graph, root_ids, roots_indptr, rng, scratch
     )
     # Members are node ids < n: ship them at the graph's (compact) index
     # width, halving the pickled result payload on int32-eligible graphs.
@@ -100,12 +97,10 @@ def worker_sample_chunk(
     roots: Any,
     count: int,
     seed_seq: np.random.SeedSequence,
-    kernel: str = "auto",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     graph = graph_from_handle(graph_handle)
     return sample_chunk(
-        graph, model, roots, count, seed_seq, _scratch_for(count * graph.n),
-        kernel=kernel,
+        graph, model, roots, count, seed_seq, _scratch_for(count * graph.n)
     )
 
 
@@ -119,7 +114,6 @@ def worker_crn_chunk(
     worlds_handle: ArrayHandle,
     sets_block: list[np.ndarray],
     world_ids: np.ndarray,
-    kernel: str = "auto",
 ) -> np.ndarray:
     from repro.diffusion.montecarlo import crn_chunk
     from repro.parallel.shm import attach_arrays
@@ -133,7 +127,6 @@ def worker_crn_chunk(
         sets_block,
         world_ids,
         _scratch_for(len(world_ids) * graph.n),
-        kernel=kernel,
     )
 
 

@@ -40,7 +40,6 @@ if TYPE_CHECKING:
     from repro.testing.faults import FaultInjection
 
 from repro.errors import ConfigurationError
-from repro.kernels import KERNEL_BACKENDS, numba_available, snapshot_stats
 from repro.sampling.engine import DEFAULT_BATCH_SIZE
 from repro.utils.rng import (
     RandomSource,
@@ -85,14 +84,6 @@ class ExecutionContext:
     graph_storage:
         ``"adaptive"`` (default) or ``"wide"``; see
         :meth:`repro.graph.digraph.DiGraph.from_arrays`.
-    kernel_backend:
-        Per-level labeled-BFS backend (see :mod:`repro.kernels`):
-        ``"auto"`` (default) picks the njit-compiled kernels when numba is
-        importable and the graph is large enough, silently falling back to
-        the numpy reference closures otherwise; ``"numpy"`` / ``"numba"`` /
-        ``"python"`` pin the backend (pinning ``"numba"`` without numba
-        raises at the first engine call).  Outputs are bit-identical
-        across backends, so this is pure performance policy.
     fault_policy:
         Supervision knobs for the parallel runtime
         (:class:`~repro.parallel.runtime.FaultPolicy`: per-chunk timeout,
@@ -113,7 +104,6 @@ class ExecutionContext:
     jobs: int = 1
     max_samples: Optional[int] = None
     graph_storage: str = "adaptive"
-    kernel_backend: str = "auto"
     fault_policy: Optional[FaultPolicy] = None
     fault_injection: Optional[FaultInjection] = None
     #: Optional persistent artifact store (:class:`repro.store.PoolStore`).
@@ -140,11 +130,6 @@ class ExecutionContext:
             raise ConfigurationError(
                 f"graph_storage must be one of {GRAPH_STORAGE_POLICIES}, "
                 f"got {self.graph_storage!r}"
-            )
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ConfigurationError(
-                f"kernel_backend must be one of {KERNEL_BACKENDS}, "
-                f"got {self.kernel_backend!r}"
             )
         if self.fault_policy is not None:
             from repro.parallel.runtime import FaultPolicy
@@ -258,9 +243,8 @@ class ExecutionContext:
         """Build a context whose knobs are chosen by the execution planner.
 
         The planner (:mod:`repro.runtime.planner`) picks
-        ``sample_batch_size``, ``mc_batch_size``, ``jobs``, and
-        ``kernel_backend`` from the graph's statistics (n, m, degree skew)
-        and the diffusion model, using measured calibration data when
+        ``sample_batch_size``, ``mc_batch_size``, and ``jobs`` from the
+        graph's statistics (n, m, degree skew) and the diffusion model, using measured calibration data when
         ``calibration`` (a path or a loaded
         :class:`~repro.runtime.planner.CalibrationTable`) is usable and a
         conservative static heuristic otherwise.  Explicit ``overrides``
@@ -284,7 +268,6 @@ class ExecutionContext:
             plan_sample_batch_size=decision.sample_batch_size,
             plan_mc_batch_size=decision.mc_batch_size,
             plan_jobs=decision.jobs,
-            plan_kernel_backend=decision.kernel_backend,
             plan_fixture=decision.fixture,
             plan_distance=decision.distance,
         )
@@ -292,7 +275,7 @@ class ExecutionContext:
     def note_store(self) -> None:
         """Record the pool store's activity (``pool_store_*`` diagnostics).
 
-        The persistence companion of :meth:`note_kernels` /
+        The persistence companion of :meth:`note_graph` /
         :meth:`note_faults`: copies the store's counters (hits, misses,
         stores, evictions, corrupt discards, bytes moved) into the
         diagnostics sink.  No-op without a store.
@@ -370,30 +353,10 @@ class ExecutionContext:
             f"{label}_csr_nbytes": graph.csr_nbytes,
         })
 
-    def note_kernels(self) -> None:
-        """Record the kernel-backend decision and dispatch activity.
-
-        The companion of :meth:`note_graph` for the compiled-kernel layer:
-        stores this context's ``kernel_backend`` knob, whether numba is
-        importable here, and a snapshot of the process-wide
-        :data:`repro.kernels.KERNEL_STATS` (per-driver kernel call counts,
-        JIT compile seconds, backend resolutions).  Sweeps call it once at
-        the end of a run so the diagnostics show what actually executed.
-        """
-        stats = snapshot_stats()
-        self.record(
-            kernel_backend=self.kernel_backend,
-            kernel_numba_available=numba_available(),
-            kernel_calls=stats["calls"],
-            kernel_jit_seconds=stats["jit_seconds"],
-            kernel_backends_resolved=stats["resolved"],
-        )
-
     def note_faults(self) -> None:
         """Record the parallel runtime's recovery activity.
 
-        The supervision companion of :meth:`note_graph` /
-        :meth:`note_kernels`: copies the runtime's fault counters
+        The supervision companion of :meth:`note_graph`: copies the runtime's fault counters
         (retries, timeouts, pool rebuilds, republished segments, degraded
         chunks, recovery wall-time, swept orphans — see
         :attr:`~repro.parallel.runtime.ParallelRuntime.fault_stats`) into

@@ -1,9 +1,8 @@
 """The calibration-table-driven execution planner.
 
 Picks the :class:`~repro.runtime.context.ExecutionContext` performance
-knobs — ``sample_batch_size``, ``mc_batch_size``, ``jobs``,
-``kernel_backend`` — from graph statistics (n, m, degree skew) and the
-diffusion model, using **measured** calibration data when available and a
+knobs — ``sample_batch_size``, ``mc_batch_size``, ``jobs`` — from graph
+statistics (n, m, degree skew) and the diffusion model, using **measured** calibration data when available and a
 conservative static heuristic otherwise.  The same measure-then-choose-a-
 plan discipline as cost-based query planning: the calibration sweep
 (``examples/context_tuning.py --out calibration.json``) records seconds
@@ -91,7 +90,6 @@ class CalibrationEntry:
     sample_batch_size: int
     mc_batch_size: Optional[int]
     jobs: int
-    kernel_backend: str
     seconds: float
 
     def to_dict(self) -> dict[str, Any]:
@@ -103,7 +101,6 @@ class CalibrationEntry:
             "sample_batch_size": self.sample_batch_size,
             "mc_batch_size": self.mc_batch_size,
             "jobs": self.jobs,
-            "kernel_backend": self.kernel_backend,
             "seconds": self.seconds,
         }
 
@@ -143,7 +140,8 @@ class CalibrationTable:
                     ),
                     # A null jobs (older tables) is the in-process route.
                     jobs=1 if raw.get("jobs") is None else int(raw["jobs"]),
-                    kernel_backend=str(raw.get("kernel_backend", "auto")),
+                    # Unknown fields (older rows carry a retired
+                    # labeled-BFS backend knob) are ignored.
                     seconds=float(raw["seconds"]),
                 )
             )
@@ -171,7 +169,6 @@ class PlanDecision:
     sample_batch_size: int
     mc_batch_size: Optional[int]
     jobs: int
-    kernel_backend: str
     #: (n, m) of the calibration fixture the knobs came from, if any.
     fixture: Optional[tuple[int, int]] = None
     #: Distance to that fixture in (ln n, ln m) space.
@@ -183,7 +180,6 @@ class PlanDecision:
             "sample_batch_size": self.sample_batch_size,
             "mc_batch_size": self.mc_batch_size,
             "jobs": self.jobs,
-            "kernel_backend": self.kernel_backend,
         }
 
 
@@ -207,8 +203,7 @@ def static_plan(stats: GraphStats, model: Any, reason: str = "") -> PlanDecision
     Batch size targets a bounded frontier working set (small graphs take
     the large batches, large graphs step down); parallelism engages only
     when the edge count makes per-fill work dwarf worker spawn overhead on
-    a genuinely multi-core host; the kernel backend stays on ``auto``
-    (compiled when importable, numpy otherwise — always bit-identical).
+    a genuinely multi-core host.
     """
     batch = _HEURISTIC_BATCH_TARGET // max(stats.n, 1)
     batch = max(_HEURISTIC_BATCH_MIN, min(_HEURISTIC_BATCH_MAX, batch))
@@ -223,7 +218,6 @@ def static_plan(stats: GraphStats, model: Any, reason: str = "") -> PlanDecision
         sample_batch_size=int(batch),
         mc_batch_size=None,
         jobs=jobs,
-        kernel_backend="auto",
     )
 
 
@@ -259,7 +253,6 @@ def plan_from_calibration(
             e.sample_batch_size,
             str(e.jobs),
             str(e.mc_batch_size),
-            e.kernel_backend,
         ),
     )
     return PlanDecision(
@@ -272,7 +265,6 @@ def plan_from_calibration(
         sample_batch_size=best.sample_batch_size,
         mc_batch_size=best.mc_batch_size,
         jobs=best.jobs,
-        kernel_backend=best.kernel_backend,
         fixture=nearest,
         distance=distance,
     )

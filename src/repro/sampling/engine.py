@@ -184,7 +184,7 @@ class BatchSampler:
     context:
         Optional :class:`~repro.runtime.context.ExecutionContext` supplying
         the default ``batch_size`` (``context.sample_batch_size``), the
-        kernel backend, the pool store, and the parallel runtime
+        pool store, and the parallel runtime
         (``context.runtime``) that :meth:`fill` shards its chunks across.
         An explicit ``batch_size`` overrides the context.
     """
@@ -213,11 +213,6 @@ class BatchSampler:
         self.model = model
         self.roots = roots
         self.batch_size = int(batch_size)
-        # Per-level BFS backend knob (see repro.kernels); pools are
-        # bit-identical across backends, so this is pure policy.
-        self._kernel = (
-            context.kernel_backend if context is not None else "auto"
-        )
         self._runtime = context.runtime if context is not None else None
         # Persistent artifact store (see repro.store): consulted before
         # regenerating a fill.  Disabled for unseeded samplers — their
@@ -309,7 +304,6 @@ class BatchSampler:
                     step,
                     seq,
                     self._ensure_scratch(step),
-                    kernel=self._kernel,
                 )
                 for step, seq in zip(chunks, seqs)
             )
@@ -318,8 +312,7 @@ class BatchSampler:
             results = self._runtime.map_ordered(
                 worker_sample_chunk,
                 [
-                    (graph_handle, self.model, self.roots, step, seq,
-                     self._kernel)
+                    (graph_handle, self.model, self.roots, step, seq)
                     for step, seq in zip(chunks, seqs)
                 ],
             )

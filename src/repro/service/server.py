@@ -102,7 +102,6 @@ class ServiceConfig:
     breaker_threshold: int = DEFAULT_FAILURE_THRESHOLD
     breaker_cooldown: float = DEFAULT_COOLDOWN_SECONDS
     quarantine_seconds: float = 30.0
-    kernel_backend: str = "auto"
     #: Persistent artifact store directory (None = memory-only cache).
     #: On boot the cache warm-starts from spilled pool snapshots; on
     #: drain the live pool entries are spilled back (see ``--pool-store``).
@@ -600,7 +599,6 @@ class SeedService:
         context = ExecutionContext(
             sample_batch_size=sample_batch,
             jobs=1,
-            kernel_backend=self.config.kernel_backend,
             fault_policy=self.config.fault_policy,
         )
         if runtime is not None:

@@ -163,7 +163,6 @@ class TestServeCommand:
         assert args.jobs == 1
         assert args.max_in_flight == 4
         assert args.max_queue == 16
-        assert args.kernel_backend == "auto"
         assert args.on_pool_failure == "degrade"
 
     def test_bad_config_rejected_cleanly(self, capsys):

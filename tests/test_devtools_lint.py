@@ -171,46 +171,6 @@ def test_rep003_accepts_module_level_function():
 
 
 # ----------------------------------------------------------------------
-# REP004 — njit-safe kernels (path-scoped to kernels/reference.py)
-# ----------------------------------------------------------------------
-
-KERNEL_PATH = "scratch/repro/kernels/reference.py"
-
-
-def test_rep004_flags_unsafe_kernel_constructs():
-    src = (
-        "import numpy as np\n"
-        "def kernel(frontier, **options):\n"
-        "    table = {}\n"
-        "    rng = np.random.default_rng(0)\n"
-        "    return np.concatenate([frontier])\n"
-    )
-    found = codes(src, KERNEL_PATH)
-    assert found == ["REP004"] * 4  # kwargs, dict, rng call, np.concatenate
-
-
-def test_rep004_accepts_the_allowlisted_subset():
-    src = (
-        "import numpy as np\n"
-        "def kernel(indptr, indices, draws):\n"
-        "    out = np.empty(len(indices), dtype=np.int64)\n"
-        "    count = 0\n"
-        "    for i in range(len(indices)):\n"
-        "        if draws[i] < 0.5:\n"
-        "            out[count] = indices[i]\n"
-        "            count += 1\n"
-        "    return out[:count]\n"
-    )
-    assert codes(src, KERNEL_PATH) == []
-
-
-def test_rep004_is_scoped_to_the_reference_module():
-    src = "def helper(**kwargs):\n    return dict(kwargs)\n"
-    assert codes(src, ENGINE_PATH) == []
-    assert codes(src, KERNEL_PATH) != []
-
-
-# ----------------------------------------------------------------------
 # REP005 — paired shared-memory release
 # ----------------------------------------------------------------------
 
@@ -295,7 +255,7 @@ def test_rep006_only_applies_inside_the_package():
 
 
 def test_rep006_exempts_the_policy_layer_modules():
-    src = "def parse(jobs=1, kernel_backend='auto'):\n    return jobs\n"
+    src = "def parse(jobs=1, graph_storage='adaptive'):\n    return jobs\n"
     for exempt in ("src/repro/cli.py", "src/repro/experiments/config.py"):
         assert codes(src, exempt) == []
 
@@ -499,13 +459,3 @@ def test_mutated_lambda_dispatch_is_caught(tmp_path):
         + "    return runtime.map_ordered(lambda item: item, payloads)\n"
     )
     assert [f.code for f in LintRunner().lint_file(target)] == ["REP003"]
-
-
-def test_mutated_kernel_is_caught(tmp_path):
-    target = _mirror(tmp_path, "kernels/reference.py")
-    assert LintRunner().lint_file(target) == []
-    target.write_text(
-        target.read_text()
-        + "\n\ndef _mutated_kernel(frontier):\n    lookup = {}\n    return lookup\n"
-    )
-    assert [f.code for f in LintRunner().lint_file(target)] == ["REP004"]

@@ -135,9 +135,8 @@ class TestSimulateBatch:
 class TestHubSeededLT:
     """Regression for the high-skew LT forward case (the engine benchmark's
     historical 0.85x weak spot): batching from a hub on a heavy-tailed
-    graph must stay equivalent to the scalar loop, and the kernel path
-    must stay bit-identical to the closures exactly where frontiers are
-    widest."""
+    graph must stay equivalent to the scalar loop exactly where frontiers
+    are widest."""
 
     @pytest.fixture
     def hub_and_graph(self):
@@ -163,14 +162,6 @@ class TestHubSeededLT:
             batched.var(ddof=1) / sims + loop.var(ddof=1) / sims
         )
         assert abs(batched.mean() - loop.mean()) <= margin + 1e-9
-
-    def test_backends_bit_identical_from_hub(self, hub_and_graph):
-        hub, graph = hub_and_graph
-        model = LinearThreshold()
-        base = model.simulate_batch(graph, [hub], 120, seed=32, kernel="numpy")
-        fast = model.simulate_batch(graph, [hub], 120, seed=32, kernel="python")
-        assert np.array_equal(base[0], fast[0])
-        assert np.array_equal(base[1], fast[1])
 
 
 class TestEarlyStop:

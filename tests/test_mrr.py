@@ -95,15 +95,13 @@ class TestTheorem33:
             assert estimate >= truth * ONE_MINUS_INV_E * 0.94  # lower
 
     def test_bracket_on_random_graph(self, ic_model):
-        g = generators.erdos_renyi(12, 2.0, seed=5)
+        g = generators.erdos_renyi(12, 1.5, seed=2)
         g = g.with_probabilities(lambda u, v: 0.4)
-        if g.m > 18:  # keep exact enumeration tractable
-            pytest.skip("sampled graph too dense for exact enumeration")
+        assert g.m <= 18  # keeps exact enumeration (2^m worlds) tractable
         eta = 4
         seeds = [0, 1]
         truth = exact_expected_truncated_spread(g, ic_model, seeds, eta)
-        if truth == 0:
-            pytest.skip("degenerate draw")
+        assert truth > 0  # a non-degenerate fixture
         estimate = estimate_truncated_spread_mrr(
             g, ic_model, seeds, eta, theta=12000, seed=9
         )

@@ -34,7 +34,6 @@ def entry(n=500, m=2982, batch=256, jobs=1, seconds=1.0, model="IC", **kwargs):
         sample_batch_size=batch,
         mc_batch_size=kwargs.get("mc_batch_size"),
         jobs=jobs,
-        kernel_backend=kwargs.get("kernel_backend", "auto"),
         seconds=seconds,
     )
 
@@ -44,7 +43,7 @@ def table_for(graph, *entries):
         CalibrationEntry(
             n=graph.n, m=graph.m, degree_skew=e.degree_skew, model=e.model,
             sample_batch_size=e.sample_batch_size, mc_batch_size=e.mc_batch_size,
-            jobs=e.jobs, kernel_backend=e.kernel_backend, seconds=e.seconds,
+            jobs=e.jobs, seconds=e.seconds,
         )
         for e in entries
     ]
@@ -136,13 +135,25 @@ class TestCalibratedPicks:
         payload["entries"][0]["jobs"] = None
         legacy = CalibrationTable.from_dict(payload)
         assert plan(graph, "IC", calibration=legacy).jobs == 1
+        # Rows written while the labeled-BFS backend was a knob carry a
+        # "kernel_backend" field: they still load and plan, and the field
+        # reaches neither the decision nor the context.
+        payload["entries"][0]["kernel_backend"] = "numba"
+        older = CalibrationTable.from_dict(payload)
+        decision = plan(graph, "IC", calibration=older)
+        assert decision.source == "calibration"
+        assert decision.jobs == 1
+        assert "kernel_backend" not in decision.knobs()
+        with ExecutionContext.from_plan(graph, "IC", calibration=older) as context:
+            assert context.sample_batch_size == 128
+            assert not hasattr(context, "kernel_backend")
+            assert not any("kernel" in key for key in context.diagnostics)
 
     def test_nearest_fixture_wins(self, graph):
         near = entry(n=graph.n, m=graph.m, batch=128, seconds=1.0)
         far = CalibrationEntry(
             n=graph.n * 2, m=graph.m * 2, degree_skew=5.0, model="IC",
-            sample_batch_size=512, mc_batch_size=None, jobs=1,
-            kernel_backend="auto", seconds=0.1,
+            sample_batch_size=512, mc_batch_size=None, jobs=1, seconds=0.1,
         )
         table = CalibrationTable(entries=(far, near))
         decision = plan(graph, "IC", calibration=table)

@@ -334,6 +334,22 @@ class TestWarmConsumers:
         warm = counts(store_dir)
         assert plain == cold == warm
 
+    def test_sweep_returns_its_diagnostics(self, tmp_path):
+        config = quick_config(
+            graph_n=200,
+            realizations=2,
+            algorithms=("ASTI",),
+            eta_fractions=(0.1,),
+        ).scaled(pool_store=str(tmp_path / "sweep-store"))
+        cold = run_sweep(config)
+        assert cold.diagnostics["pool_store_stores"] > 0
+        assert cold.diagnostics["graph_storage"] == "adaptive"
+        # A warm replay has bit-identical results; only its diagnostics
+        # show the reuse.
+        warm = run_sweep(config)
+        assert warm.diagnostics["pool_store_hits"] > 0
+        assert warm.diagnostics["pool_store_stores"] == 0
+
     def test_corrupt_store_regenerates(self, graph, tmp_path):
         store = make_store(tmp_path)
         cold = self._fill(graph, store)
